@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -253,7 +254,7 @@ func writeBenchJSON(path string) error {
 			cons := runningex.Constraints()
 			for i := 0; i < b.N; i++ {
 				db := runningex.AcquiredDatabase()
-				res, err := (&core.MILPSolver{}).FindRepair(db, cons, nil)
+				res, err := core.FindRepair(context.Background(), &core.MILPSolver{}, db, cons, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

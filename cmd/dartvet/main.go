@@ -11,8 +11,7 @@
 // applies each registered pass (see internal/analysis/passes for the
 // catalog and per-pass package scopes) to the packages in its scope.
 // -format github emits workflow-command lines (::error file=...) that
-// GitHub Actions turns into inline PR annotations; -json is kept as an
-// alias for -format json.
+// GitHub Actions turns into inline PR annotations.
 //
 // Unless -novet is given it also execs "go vet" on the same patterns, so a
 // single dartvet invocation is the whole lint story. Findings may be
@@ -25,7 +24,7 @@
 //
 // Spec mode:
 //
-//	dartvet -spec [-json] file.meta [file2.meta ...]
+//	dartvet -spec [-format text|json] file.meta [file2.meta ...]
 //
 // parses each metadata file and reports specvet diagnostics (non-steady
 // constraints, dangling attribute references, classification conflicts,
@@ -53,18 +52,14 @@ func main() {
 	var (
 		specMode = flag.Bool("spec", false, "vet designer metadata files instead of Go packages")
 		noVet    = flag.Bool("novet", false, "code mode: skip running go vet alongside the custom passes")
-		asJSON   = flag.Bool("json", false, "emit findings as JSON (alias for -format json)")
 		format   = flag.String("format", "text", "output format: text, json, or github (workflow commands)")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: dartvet [-novet] [-format text|json|github] [packages ...]\n       dartvet -spec [-json] file.meta ...\n")
+			"usage: dartvet [-novet] [-format text|json|github] [packages ...]\n       dartvet -spec [-format text|json] file.meta ...\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if *asJSON {
-		*format = "json"
-	}
 	switch *format {
 	case "text", "json", "github":
 	default:
@@ -154,7 +149,8 @@ func runGoVet(patterns []string) int {
 	return 0
 }
 
-// specReport pairs a metadata file with its diagnostics for -json output.
+// specReport pairs a metadata file with its diagnostics for -format json
+// output.
 type specReport struct {
 	File        string               `json:"file"`
 	Error       string               `json:"error,omitempty"`

@@ -13,7 +13,6 @@ import (
 	"dart/internal/analysis/floatcmp"
 	"dart/internal/analysis/lockcheck"
 	"dart/internal/analysis/lockhold"
-	"dart/internal/analysis/retshim"
 	"dart/internal/analysis/spanleak"
 	"dart/internal/analysis/walorder"
 )
@@ -31,7 +30,6 @@ var Scopes = map[string][]string{
 	lockcheck.Analyzer.Name: {
 		"internal/milp", "internal/repair", "internal/service", "internal/store",
 	},
-	retshim.Analyzer.Name: {"internal/core"},
 	spanleak.Analyzer.Name: {
 		"internal/core", "internal/milp", "internal/obs", "internal/service",
 		"internal/store", "internal/validate", "cmd/dart", "cmd/dartd",
@@ -53,7 +51,6 @@ func All() []*analysis.Analyzer {
 		floatcmp.Analyzer,
 		lockcheck.Analyzer,
 		lockhold.Analyzer,
-		retshim.Analyzer,
 		spanleak.Analyzer,
 		walorder.Analyzer,
 	}

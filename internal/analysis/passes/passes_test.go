@@ -29,8 +29,8 @@ func TestInScope(t *testing.T) {
 
 func TestRegistryComplete(t *testing.T) {
 	all := All()
-	if len(all) != 8 {
-		t.Fatalf("registry has %d analyzers, want 8", len(all))
+	if len(all) != 7 {
+		t.Fatalf("registry has %d analyzers, want 7", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {
@@ -66,7 +66,7 @@ func TestActive(t *testing.T) {
 			t.Errorf("internal/service missing %s: %v", want, svc)
 		}
 	}
-	if svc["floatcmp"] || svc["retshim"] {
+	if svc["floatcmp"] {
 		t.Errorf("internal/service has out-of-scope pass: %v", svc)
 	}
 	anl := names("dart/internal/analysis/dataflow")

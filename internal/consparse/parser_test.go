@@ -1,6 +1,7 @@
 package consparse_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -87,7 +88,7 @@ func TestParsedConstraintsMatchHandBuilt(t *testing.T) {
 	if len(viols) != 2 {
 		t.Fatalf("violations = %d, want 2", len(viols))
 	}
-	res, err := (&core.MILPSolver{}).FindRepair(db, cat.Constraints, nil)
+	res, err := core.FindRepair(context.Background(), &core.MILPSolver{}, db, cat.Constraints, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,15 +33,6 @@ type CardinalitySearchSolver struct {
 // Name implements Solver.
 func (s *CardinalitySearchSolver) Name() string { return "card-search" }
 
-// FindRepair implements Solver.
-func (s *CardinalitySearchSolver) FindRepair(db *relational.Database, acs []*aggrcons.Constraint, forced map[Item]float64) (*Result, error) {
-	prob, err := Prepare(db, acs)
-	if err != nil {
-		return nil, err
-	}
-	return s.SolveProblem(context.Background(), prob, forced)
-}
-
 // SolveProblem implements Solver: the search runs directly on the prepared
 // system, so re-solves under new pins pay no grounding cost.
 func (s *CardinalitySearchSolver) SolveProblem(ctx context.Context, prob *Problem, forced map[Item]float64) (*Result, error) {

@@ -8,39 +8,38 @@ import (
 	"dart/internal/runningex"
 )
 
-// TestFindRepairContextCancelled: a cancelled context aborts the MILP
-// solver with context.Canceled instead of solving.
-func TestFindRepairContextCancelled(t *testing.T) {
+// TestFindRepairPreCancelled: a cancelled context is rejected before
+// grounding for every solver, and the MILP solver's per-node poll aborts a
+// solve of an already prepared problem with context.Canceled.
+func TestFindRepairPreCancelled(t *testing.T) {
+	db := runningex.AcquiredDatabase()
+	acs := runningex.Constraints()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s := &MILPSolver{}
-	_, err := s.FindRepairContext(ctx, runningex.AcquiredDatabase(), runningex.Constraints(), nil)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for _, s := range []Solver{&MILPSolver{}, &CardinalitySearchSolver{}, &GreedyLocalSolver{}, &GreedyAggregateSolver{}} {
+		if _, err := FindRepair(ctx, s, db, acs, nil); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", s.Name(), err)
+		}
+	}
+	prob, err := Prepare(db, acs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&MILPSolver{}).SolveProblem(ctx, prob, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("prepared MILP solve err = %v, want context.Canceled", err)
 	}
 }
 
-// TestFindRepairCtxDispatch: the helper uses the context path for
-// ContextSolvers and the up-front check for plain solvers.
-func TestFindRepairCtxDispatch(t *testing.T) {
+// TestFindRepairDispatch: under a live context the entry point prepares
+// and solves to completion for exact and heuristic solvers alike.
+func TestFindRepairDispatch(t *testing.T) {
 	db := runningex.AcquiredDatabase()
 	acs := runningex.Constraints()
-
-	// Live context, context-aware solver: normal repair.
-	res, err := FindRepairCtx(context.Background(), &MILPSolver{}, db, acs, nil)
+	res, err := FindRepair(context.Background(), &MILPSolver{}, db, acs, nil)
 	if err != nil || res.Card != 1 {
 		t.Fatalf("res = %+v, err = %v", res, err)
 	}
-
-	// Cancelled context, plain solver: rejected before solving.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := FindRepairCtx(ctx, &GreedyLocalSolver{}, db, acs, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("plain solver err = %v, want context.Canceled", err)
-	}
-
-	// Live context, plain solver: runs to completion.
-	if _, err := FindRepairCtx(context.Background(), &CardinalitySearchSolver{}, db, acs, nil); err != nil {
+	if _, err := FindRepair(context.Background(), &CardinalitySearchSolver{}, db, acs, nil); err != nil {
 		t.Fatalf("cardsearch err = %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -178,7 +179,7 @@ func TestExample11MILPRepair(t *testing.T) {
 	for _, form := range []core.Formulation{core.FormulationLiteral, core.FormulationReduced} {
 		solver := &core.MILPSolver{Formulation: form}
 		db := runningex.AcquiredDatabase()
-		res, err := solver.FindRepair(db, runningex.Constraints(), nil)
+		res, err := core.FindRepair(context.Background(), solver, db, runningex.Constraints(), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", form, err)
 		}
@@ -201,7 +202,7 @@ func TestExample11MILPRepair(t *testing.T) {
 func TestExample11CardinalitySearch(t *testing.T) {
 	solver := &core.CardinalitySearchSolver{}
 	db := runningex.AcquiredDatabase()
-	res, err := solver.FindRepair(db, runningex.Constraints(), nil)
+	res, err := core.FindRepair(context.Background(), solver, db, runningex.Constraints(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestConsistentDatabaseYieldsEmptyRepair(t *testing.T) {
 		&core.GreedyAggregateSolver{},
 	} {
 		db := runningex.CorrectDatabase()
-		res, err := solver.FindRepair(db, runningex.Constraints(), nil)
+		res, err := core.FindRepair(context.Background(), solver, db, runningex.Constraints(), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", solver.Name(), err)
 		}
@@ -337,11 +338,11 @@ func TestTwoErrorRepairSolversAgreeOnCardinality(t *testing.T) {
 		{"2003", "total cash receipts"}: 250, // as in the paper
 		{"2004", "capital expenditure"}: 45,  // second, independent error
 	})
-	milpRes, err := (&core.MILPSolver{}).FindRepair(db, runningex.Constraints(), nil)
+	milpRes, err := core.FindRepair(context.Background(), &core.MILPSolver{}, db, runningex.Constraints(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	csRes, err := (&core.CardinalitySearchSolver{}).FindRepair(db, runningex.Constraints(), nil)
+	csRes, err := core.FindRepair(context.Background(), &core.CardinalitySearchSolver{}, db, runningex.Constraints(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +362,7 @@ func TestForcedValuesDriveAlternativeRepairs(t *testing.T) {
 	item := findItem(t, db, 2003, "total cash receipts")
 	forced := map[core.Item]float64{item: 250}
 	for _, solver := range []core.Solver{&core.MILPSolver{}, &core.CardinalitySearchSolver{}} {
-		res, err := solver.FindRepair(db, runningex.Constraints(), forced)
+		res, err := core.FindRepair(context.Background(), solver, db, runningex.Constraints(), forced)
 		if err != nil {
 			t.Fatalf("%s: %v", solver.Name(), err)
 		}
@@ -383,7 +384,7 @@ func TestForcedValuesDriveAlternativeRepairs(t *testing.T) {
 
 func TestGreedyBaselinesRepairButNotMinimally(t *testing.T) {
 	db := runningex.AcquiredDatabase()
-	agg, err := (&core.GreedyAggregateSolver{}).FindRepair(db, runningex.Constraints(), nil)
+	agg, err := core.FindRepair(context.Background(), &core.GreedyAggregateSolver{}, db, runningex.Constraints(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +396,7 @@ func TestGreedyBaselinesRepairButNotMinimally(t *testing.T) {
 	if agg.Card < 1 {
 		t.Errorf("greedy-aggregate card = %d", agg.Card)
 	}
-	loc, err := (&core.GreedyLocalSolver{}).FindRepair(db, runningex.Constraints(), nil)
+	loc, err := core.FindRepair(context.Background(), &core.GreedyLocalSolver{}, db, runningex.Constraints(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,15 +442,15 @@ func TestFormulationEquivalenceOnPerturbations(t *testing.T) {
 	for i, ch := range cases {
 		dbL := runningex.CorrectDatabase()
 		corrupt(t, dbL, ch)
-		lit, err := (&core.MILPSolver{Formulation: core.FormulationLiteral}).FindRepair(dbL, runningex.Constraints(), nil)
+		lit, err := core.FindRepair(context.Background(), &core.MILPSolver{Formulation: core.FormulationLiteral}, dbL, runningex.Constraints(), nil)
 		if err != nil {
 			t.Fatalf("case %d literal: %v", i, err)
 		}
-		red, err := (&core.MILPSolver{Formulation: core.FormulationReduced}).FindRepair(dbL, runningex.Constraints(), nil)
+		red, err := core.FindRepair(context.Background(), &core.MILPSolver{Formulation: core.FormulationReduced}, dbL, runningex.Constraints(), nil)
 		if err != nil {
 			t.Fatalf("case %d reduced: %v", i, err)
 		}
-		cs, err := (&core.CardinalitySearchSolver{}).FindRepair(dbL, runningex.Constraints(), nil)
+		cs, err := core.FindRepair(context.Background(), &core.CardinalitySearchSolver{}, dbL, runningex.Constraints(), nil)
 		if err != nil {
 			t.Fatalf("case %d card-search: %v", i, err)
 		}
@@ -463,7 +464,7 @@ func TestPracticalMBinding(t *testing.T) {
 	// Force a tiny M: the solver must escalate rather than fail.
 	db := runningex.AcquiredDatabase()
 	solver := &core.MILPSolver{BigM: 4} // |y4| must reach 30
-	res, err := solver.FindRepair(db, runningex.Constraints(), nil)
+	res, err := core.FindRepair(context.Background(), solver, db, runningex.Constraints(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,11 +489,11 @@ func TestParallelDecompositionMatchesSequential(t *testing.T) {
 		{"2004", "receivables"}:         130,
 		{"2004", "capital expenditure"}: 45,
 	})
-	seq, err := (&core.MILPSolver{}).FindRepair(db.Clone(), runningex.Constraints(), nil)
+	seq, err := core.FindRepair(context.Background(), &core.MILPSolver{}, db.Clone(), runningex.Constraints(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := (&core.MILPSolver{Workers: 4}).FindRepair(db.Clone(), runningex.Constraints(), nil)
+	par, err := core.FindRepair(context.Background(), &core.MILPSolver{Workers: 4}, db.Clone(), runningex.Constraints(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"dart/internal/aggrcons"
 	"dart/internal/milp"
 	"dart/internal/relational"
 )
@@ -134,16 +133,6 @@ type GreedyLocalSolver struct {
 // Name implements Solver.
 func (s *GreedyLocalSolver) Name() string { return "greedy-local" }
 
-// FindRepair implements Solver by preparing the problem once and routing
-// through SolveProblem, so prepared-problem reuse cannot be bypassed.
-func (s *GreedyLocalSolver) FindRepair(db *relational.Database, acs []*aggrcons.Constraint, forced map[Item]float64) (*Result, error) {
-	prob, err := Prepare(db, acs)
-	if err != nil {
-		return nil, err
-	}
-	return s.SolveProblem(context.Background(), prob, forced)
-}
-
 // SolveProblem implements Solver on the prepared system.
 func (s *GreedyLocalSolver) SolveProblem(ctx context.Context, prob *Problem, forced map[Item]float64) (*Result, error) {
 	if err := ctx.Err(); err != nil {
@@ -163,16 +152,6 @@ type GreedyAggregateSolver struct {
 
 // Name implements Solver.
 func (s *GreedyAggregateSolver) Name() string { return "greedy-aggregate" }
-
-// FindRepair implements Solver by preparing the problem once and routing
-// through SolveProblem, so prepared-problem reuse cannot be bypassed.
-func (s *GreedyAggregateSolver) FindRepair(db *relational.Database, acs []*aggrcons.Constraint, forced map[Item]float64) (*Result, error) {
-	prob, err := Prepare(db, acs)
-	if err != nil {
-		return nil, err
-	}
-	return s.SolveProblem(context.Background(), prob, forced)
-}
 
 // SolveProblem implements Solver on the prepared system.
 func (s *GreedyAggregateSolver) SolveProblem(ctx context.Context, prob *Problem, forced map[Item]float64) (*Result, error) {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"dart/internal/aggrcons"
@@ -141,7 +142,7 @@ func TestMultiMeasureConsistencyAndRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, solver := range []core.Solver{&core.MILPSolver{}, &core.CardinalitySearchSolver{}} {
-		res, err := solver.FindRepair(db.Clone(), acs, nil)
+		res, err := core.FindRepair(context.Background(), solver, db.Clone(), acs, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", solver.Name(), err)
 		}
@@ -187,7 +188,7 @@ func TestMultiMeasureErrorsInBothColumns(t *testing.T) {
 	if err := r.SetValue(r.Tuples()[2].ID(), "Actual", relational.Int(90)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := (&core.MILPSolver{}).FindRepair(db, acs, nil)
+	res, err := core.FindRepair(context.Background(), &core.MILPSolver{}, db, acs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func TestSolverWorkersMatchesSequential(t *testing.T) {
 		t.Helper()
 		db := runningex.CorrectDatabase()
 		corrupt(t, db, multiErrorDB(t))
-		res, err := s.FindRepair(db, runningex.Constraints(), nil)
+		res, err := core.FindRepair(context.Background(), s, db, runningex.Constraints(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestComponentErrorSurfacesOverSiblingCancel(t *testing.T) {
 		Workers: 4,
 		Options: milp.MILPOptions{Simplex: milp.SimplexOptions{MaxIters: -1}},
 	}
-	_, err := s.FindRepair(db, runningex.Constraints(), nil)
+	_, err := core.FindRepair(context.Background(), s, db, runningex.Constraints(), nil)
 	if err == nil {
 		t.Fatal("expected an error from the crippled simplex")
 	}
@@ -89,8 +89,11 @@ func TestCallerCancelStillSurfaces(t *testing.T) {
 	corrupt(t, db, multiErrorDB(t))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s := &core.MILPSolver{Workers: 2}
-	_, err := s.FindRepairContext(ctx, db, runningex.Constraints(), nil)
+	prob, err := core.Prepare(db, runningex.Constraints())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = (&core.MILPSolver{Workers: 2}).SolveProblem(ctx, prob, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -193,8 +193,9 @@ func TestWarmStartMatchesCold(t *testing.T) {
 	}
 }
 
-// TestFindRepairShimsMatchSolveProblem: for every solver, the FindRepair
-// convenience entry point must equal Prepare + SolveProblem.
+// TestFindRepairShimsMatchSolveProblem: for every solver configuration,
+// the one-shot core.FindRepair entry point must equal Prepare +
+// SolveProblem.
 func TestFindRepairShimsMatchSolveProblem(t *testing.T) {
 	db := runningex.AcquiredDatabase()
 	acs := runningex.Constraints()
@@ -206,9 +207,9 @@ func TestFindRepairShimsMatchSolveProblem(t *testing.T) {
 		&core.GreedyLocalSolver{},
 	}
 	for _, s := range solvers {
-		shim, err := s.FindRepair(db, acs, nil)
+		oneShot, err := core.FindRepair(context.Background(), s, db, acs, nil)
 		if err != nil {
-			t.Fatalf("%s shim: %v", s.Name(), err)
+			t.Fatalf("%s one-shot: %v", s.Name(), err)
 		}
 		prob, err := core.Prepare(db, acs)
 		if err != nil {
@@ -218,9 +219,9 @@ func TestFindRepairShimsMatchSolveProblem(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s direct: %v", s.Name(), err)
 		}
-		if shim.Status != direct.Status || shim.Repair.String() != direct.Repair.String() {
-			t.Errorf("%s: shim %v\n%s\ndirect %v\n%s",
-				s.Name(), shim.Status, shim.Repair, direct.Status, direct.Repair)
+		if oneShot.Status != direct.Status || oneShot.Repair.String() != direct.Repair.String() {
+			t.Errorf("%s: one-shot %v\n%s\ndirect %v\n%s",
+				s.Name(), oneShot.Status, oneShot.Repair, direct.Status, direct.Repair)
 		}
 	}
 }

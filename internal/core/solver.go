@@ -44,11 +44,11 @@ type Result struct {
 // CardinalitySearchSolver (exact alternative), GreedyLocalSolver and
 // GreedyAggregateSolver (heuristic baselines for the evaluation).
 //
-// The primary entry point is SolveProblem on a prepared Problem: grounding
-// happens once in Prepare, and every subsequent solve — with forced pins
-// from the validation loop applied as variable-bound updates — reuses the
-// grounded system and its component decomposition. FindRepair is the
-// one-shot compatibility shim that prepares and solves in a single call.
+// A solver works on a prepared Problem: grounding happens once in Prepare,
+// and every subsequent solve — with forced pins from the validation loop
+// applied as variable-bound updates — reuses the grounded system and its
+// component decomposition. FindRepair is the one-shot entry point that
+// prepares and solves in a single call.
 type Solver interface {
 	// Name identifies the solver in benchmark reports.
 	Name() string
@@ -57,16 +57,13 @@ type Solver interface {
 	// ctx at least with an up-front check; MILPSolver also polls it once
 	// per branch-and-bound node.
 	SolveProblem(ctx context.Context, prob *Problem, forced map[Item]float64) (*Result, error)
-	// FindRepair computes a repair of db w.r.t. acs from scratch: it
-	// prepares a fresh problem and solves it once.
-	FindRepair(db *relational.Database, acs []*aggrcons.Constraint, forced map[Item]float64) (*Result, error)
 }
 
-// FindRepairCtx computes a repair from scratch under a context: it
-// prepares a fresh problem for (db, acs) and dispatches one SolveProblem.
-// Loops that re-solve under changing pins should Prepare once and call
-// SolveProblem directly instead, which skips re-grounding.
-func FindRepairCtx(ctx context.Context, s Solver, db *relational.Database, acs []*aggrcons.Constraint, forced map[Item]float64) (*Result, error) {
+// FindRepair computes a repair of db w.r.t. acs from scratch: it prepares
+// a fresh problem and dispatches one SolveProblem under ctx. Loops that
+// re-solve under changing pins should Prepare once and call SolveProblem
+// directly instead, which skips re-grounding.
+func FindRepair(ctx context.Context, s Solver, db *relational.Database, acs []*aggrcons.Constraint, forced map[Item]float64) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -126,22 +123,6 @@ func (s *MILPSolver) solverFingerprint() string {
 		"|nodes=" + strconv.Itoa(s.Options.MaxNodes) +
 		"|tol=" + strconv.FormatFloat(s.Options.IntTol, 'g', -1, 64) +
 		"|round=" + strconv.FormatBool(s.Options.DisableRounding)
-}
-
-// FindRepair implements Solver.
-func (s *MILPSolver) FindRepair(db *relational.Database, acs []*aggrcons.Constraint, forced map[Item]float64) (*Result, error) {
-	return s.FindRepairContext(context.Background(), db, acs, forced)
-}
-
-// FindRepairContext is FindRepair with cooperative cancellation: the
-// computation aborts with ctx.Err() at the next branch-and-bound node once
-// ctx is done.
-func (s *MILPSolver) FindRepairContext(ctx context.Context, db *relational.Database, acs []*aggrcons.Constraint, forced map[Item]float64) (*Result, error) {
-	prob, err := Prepare(db, acs)
-	if err != nil {
-		return nil, err
-	}
-	return s.SolveProblem(ctx, prob, forced)
 }
 
 // SolveProblem implements Solver on a prepared problem: components whose

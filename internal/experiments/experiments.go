@@ -225,7 +225,7 @@ func E2RepairQuality(docsPerPoint int, seed int64) (*Table, error) {
 		var cards, exact, tp, fp, missed, wrong int
 		for d := 0; d < docsPerPoint; d++ {
 			db, truth := budgetWithErrors(3, errs, rng)
-			res, err := (&core.MILPSolver{}).FindRepair(db, acs, nil)
+			res, err := core.FindRepair(context.Background(), &core.MILPSolver{}, db, acs, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -276,7 +276,7 @@ func E3Scaling(errs int, seed int64) (*Table, error) {
 		mono := time.Duration(0)
 		if years <= 20 { // the monolithic solve becomes impractical beyond this
 			start = time.Now()
-			if _, err := (&core.MILPSolver{DisableDecomposition: true}).FindRepair(db, acs, nil); err != nil {
+			if _, err := core.FindRepair(context.Background(), &core.MILPSolver{DisableDecomposition: true}, db, acs, nil); err != nil {
 				return nil, err
 			}
 			mono = time.Since(start)

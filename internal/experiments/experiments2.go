@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -100,7 +101,7 @@ func E6Baselines(docsPerPoint int, seed int64) (*Table, error) {
 	// Reference optima from the MILP solver.
 	optima := make([]int, len(cases))
 	for i, c := range cases {
-		res, err := (&core.MILPSolver{}).FindRepair(c.db(), acs, nil)
+		res, err := core.FindRepair(context.Background(), &core.MILPSolver{}, c.db(), acs, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -112,7 +113,7 @@ func E6Baselines(docsPerPoint int, seed int64) (*Table, error) {
 		for i, c := range cases {
 			db := c.db()
 			start := time.Now()
-			res, err := s.FindRepair(db, acs, nil)
+			res, err := core.FindRepair(context.Background(), s, db, acs, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -171,7 +172,7 @@ func E7BigM(seed int64) (*Table, error) {
 		{"practical x 1e6", practical * 1e6},
 	} {
 		start := time.Now()
-		res, err := (&core.MILPSolver{BigM: mc.m}).FindRepair(db.Clone(), acs, nil)
+		res, err := core.FindRepair(context.Background(), &core.MILPSolver{BigM: mc.m}, db.Clone(), acs, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -208,7 +209,7 @@ func E8Formulation(seed int64) (*Table, error) {
 				Options:              milp.MILPOptions{MaxNodes: 4000},
 			}
 			start := time.Now()
-			res, err := solver.FindRepair(db.Clone(), acs, nil)
+			res, err := core.FindRepair(context.Background(), solver, db.Clone(), acs, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package scenario_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -148,7 +149,7 @@ func TestBalanceSheetRepairIsCardMinimal(t *testing.T) {
 	// A single leaf error: card-1 repair must exist.
 	setSheetCell(t, db, 2006, "inventory", years[0].Amounts[2]+500)
 	for _, solver := range []core.Solver{&core.MILPSolver{}, &core.CardinalitySearchSolver{}} {
-		res, err := solver.FindRepair(db.Clone(), md.Constraints(), nil)
+		res, err := core.FindRepair(context.Background(), solver, db.Clone(), md.Constraints(), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", solver.Name(), err)
 		}

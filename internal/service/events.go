@@ -1,7 +1,9 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -164,25 +166,33 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, subName st
 		}
 	}
 	flusher.Flush()
-	if replayOnly {
+	if replayOnly || (jobStream && terminal) {
 		return
 	}
-	if jobStream && !terminal {
+	s.tail(r.Context(), w, flusher, sub, f, jobStream)
+}
+
+// tail streams live events from sub until ctx ends, the subscription
+// closes, or — on a job stream — the job reaches a terminal state.
+func (s *Server) tail(ctx context.Context, w io.Writer, flusher http.Flusher, sub *obs.Subscriber, f eventFilter, jobStream bool) {
+	if jobStream {
 		// The terminal transition may predate the replay ring (long-dead
-		// job): the queue is the authority.
+		// job): the queue is the authority. It may also have been published
+		// after the Subscribe snapshot, in which case its frame sits on sub
+		// already: write what is buffered before closing.
 		if view, ok := s.queue.Get(f.jobID); ok && view.State.Terminal() {
-			terminal = true
+			if _, err := drainBuffered(w, sub, f, true); err == nil {
+				flusher.Flush()
+			}
+			return
 		}
-	}
-	if jobStream && terminal {
-		return
 	}
 
 	hb := time.NewTicker(sseHeartbeat)
 	defer hb.Stop()
 	for {
 		select {
-		case <-r.Context().Done():
+		case <-ctx.Done():
 			return
 		case <-hb.C:
 			if sse.WriteComment(w, "hb") != nil {
@@ -193,46 +203,56 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, subName st
 			if !ok {
 				return
 			}
-			if !f.keep(ev) {
-				continue
-			}
-			if writeBusEvent(w, ev) != nil {
-				return
+			terminal := false
+			if f.keep(ev) {
+				if writeBusEvent(w, ev) != nil {
+					return
+				}
+				terminal = jobStream && isTerminalJobEvent(ev)
 			}
 			// Drain whatever else is already buffered before flushing, so a
 			// solver burst costs one flush, not one per event.
-			drained := false
-			//dartvet:allow ctxloop -- bounded by the subscriber buffer: every pass either consumes a buffered event or exits via default
-			for !drained {
-				select {
-				case next, more := <-sub.C():
-					if !more {
-						drained = true
-						break
-					}
-					if f.keep(next) {
-						if writeBusEvent(w, next) != nil {
-							return
-						}
-						if jobStream && isTerminalJobEvent(next) {
-							ev = next
-						}
-					}
-				default:
-					drained = true
-				}
+			drainedTerminal, err := drainBuffered(w, sub, f, jobStream)
+			if err != nil {
+				return
 			}
 			flusher.Flush()
-			if jobStream && isTerminalJobEvent(ev) {
+			if terminal || drainedTerminal {
 				return // clean close: the job is done
 			}
 		}
 	}
 }
 
+// drainBuffered writes the events already buffered on sub that f keeps,
+// without blocking, and reports whether one of them was a terminal job
+// event (only looked for on job streams).
+func drainBuffered(w io.Writer, sub *obs.Subscriber, f eventFilter, jobStream bool) (terminal bool, err error) {
+	//dartvet:allow ctxloop -- bounded by the subscriber buffer: every pass either consumes a buffered event or exits via default
+	for {
+		select {
+		case ev, ok := <-sub.C():
+			if !ok {
+				return terminal, nil
+			}
+			if !f.keep(ev) {
+				continue
+			}
+			if err := writeBusEvent(w, ev); err != nil {
+				return terminal, err
+			}
+			if jobStream && isTerminalJobEvent(ev) {
+				terminal = true
+			}
+		default:
+			return terminal, nil
+		}
+	}
+}
+
 // writeBusEvent emits one bus event as an SSE frame named by its kind,
 // with the bus sequence number as the frame id.
-func writeBusEvent(w http.ResponseWriter, ev obs.Event) error {
+func writeBusEvent(w io.Writer, ev obs.Event) error {
 	data, err := json.Marshal(ev)
 	if err != nil {
 		return err

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -146,6 +147,54 @@ func TestJobEventStreamMidJob(t *testing.T) {
 		} else if err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestJobStreamDrainsTerminalEvent pins the close-on-terminal race: the
+// job's terminal transition is published after the stream subscribed (so
+// it is not in the replay), and by the time the stream asks the queue the
+// job is already terminal. The terminal frame is then only on the
+// subscription's buffer, and the stream must write it before closing.
+func TestJobStreamDrainsTerminalEvent(t *testing.T) {
+	bus := obs.NewBus(obs.BusConfig{})
+	q := NewQueue(4)
+	q.bus = bus
+	srv := &Server{queue: q, bus: bus}
+
+	view, err := q.Submit(JobSpec{Document: "<html></html>"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, _ := bus.Subscribe("test", 0)
+	defer sub.Close()
+	job, _, _ := q.sessionOf(view.ID)
+	q.setRunning(job)
+	q.finish(job, StateSucceeded, &ResultJSON{}, nil)
+
+	rec := httptest.NewRecorder()
+	srv.tail(context.Background(), rec, rec, sub, eventFilter{jobID: view.ID}, true)
+
+	r := sse.NewReader(rec.Body)
+	var states []string
+	for {
+		ev, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var payload obs.Event
+		if err := json.Unmarshal([]byte(ev.Data), &payload); err != nil {
+			t.Fatal(err)
+		}
+		if payload.JobID != view.ID {
+			t.Errorf("frame for another job: %+v", payload)
+		}
+		states = append(states, payload.State)
+	}
+	if want := []string{string(StateRunning), string(StateSucceeded)}; fmt.Sprint(states) != fmt.Sprint(want) {
+		t.Fatalf("streamed states = %v, want %v", states, want)
 	}
 }
 

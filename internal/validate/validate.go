@@ -379,7 +379,7 @@ func (s *Session) iterate(ctx context.Context, prob *core.Problem, ledger *repai
 	pins := ledger.Pins()
 	start := time.Now()
 	if s.DisablePreparedReuse {
-		res, err = core.FindRepairCtx(ctx, s.Solver, s.DB, s.Constraints, pins)
+		res, err = core.FindRepair(ctx, s.Solver, s.DB, s.Constraints, pins)
 	} else {
 		res, err = s.Solver.SolveProblem(ctx, prob, pins)
 	}
