@@ -22,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"dart/internal/aggrcons"
 	"dart/internal/analysis"
 	"dart/internal/analysis/passes"
 	"dart/internal/core"
@@ -29,6 +30,7 @@ import (
 	"dart/internal/milp"
 	"dart/internal/obs"
 	"dart/internal/runningex"
+	"dart/internal/scenario"
 	"dart/internal/store"
 )
 
@@ -145,6 +147,11 @@ func writeBenchJSON(path string) error {
 			Blob:     []byte(`{"repair":{"card":1}}`),
 		}
 	}
+	md, err := scenario.CashBudget()
+	if err != nil {
+		return err
+	}
+	cashBudget := md.Constraints()
 	benches := []struct {
 		name string
 		fn   func(b *testing.B)
@@ -247,6 +254,30 @@ func writeBenchJSON(path string) error {
 			for i := 0; i < b.N; i++ {
 				bus.Publish(obs.Event{Kind: obs.KindSolver, Name: "progress",
 					JobID: "job-bench", Gap: 0.5, Nodes: int64(i)})
+			}
+		}},
+		{"Check50y", func(b *testing.B) {
+			db, _ := experiments.BudgetWithErrors(50, 4, rand.New(rand.NewSource(7331)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				viols, err := aggrcons.Check(db, cashBudget, 1e-9)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(viols) == 0 {
+					b.Fatal("corrupted budget reported consistent")
+				}
+			}
+		}},
+		{"Prepare50y", func(b *testing.B) {
+			db, _ := experiments.BudgetWithErrors(50, 4, rand.New(rand.NewSource(7331)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Prepare(db, cashBudget); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}},
 		{"RepairRunningExample", func(b *testing.B) {

@@ -53,6 +53,11 @@ func (f *AggFunc) Eval(db *relational.Database, args []relational.Value) (float6
 	if err != nil {
 		return 0, err
 	}
+	return f.sum(ts)
+}
+
+// sum adds up the function's expression over T_chi, in tuple order.
+func (f *AggFunc) sum(ts []*relational.Tuple) (float64, error) {
 	sum := 0.0
 	for _, t := range ts {
 		v, err := f.Expr.Eval(t)

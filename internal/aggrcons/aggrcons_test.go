@@ -510,9 +510,10 @@ func TestEverySingleValueChangeIsDetectable(t *testing.T) {
 	}
 }
 
-func TestJoinGrounding(t *testing.T) {
-	// Two atoms sharing a variable ground only over matching tuples (a
-	// conjunctive join), not the cross product.
+// joinFixture builds two relations sharing a string key and a constraint
+// whose body joins them on it.
+func joinFixture(t *testing.T) (*relational.Database, *aggrcons.Constraint) {
+	t.Helper()
 	db := relational.NewDatabase()
 	r1 := db.MustAddRelation(relational.MustSchema("L",
 		relational.Attribute{Name: "K", Domain: relational.DomainString},
@@ -547,6 +548,13 @@ func TestJoinGrounding(t *testing.T) {
 		Calls: []aggrcons.AggCall{{Coeff: 1, Func: sumV, Args: []aggrcons.ArgTerm{aggrcons.VarArg("k")}}},
 		Rel:   aggrcons.LE, K: 100,
 	}
+	return db, k
+}
+
+func TestJoinGrounding(t *testing.T) {
+	// Two atoms sharing a variable ground only over matching tuples (a
+	// conjunctive join), not the cross product.
+	db, k := joinFixture(t)
 	grounds, err := k.GroundAll(db)
 	if err != nil {
 		t.Fatal(err)

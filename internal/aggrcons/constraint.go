@@ -2,6 +2,7 @@ package aggrcons
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -200,30 +201,26 @@ type Ground struct {
 
 // Key returns a canonical identity for deduplication of ground constraints.
 func (g *Ground) Key() string {
-	var b strings.Builder
-	b.WriteString(g.Source.Name)
-	for _, args := range g.Args {
-		b.WriteByte('|')
-		for _, v := range args {
-			b.WriteString(v.String())
-			b.WriteByte(';')
-			b.WriteByte(byte('0' + int(v.Kind())))
+	return string(appendGroundKey(nil, g.Source.Name, g.Args))
+}
+
+// appendGroundKey appends the Key of the ground of the named constraint
+// with the given call arguments.
+func appendGroundKey(dst []byte, name string, args [][]relational.Value) []byte {
+	dst = append(dst, name...)
+	for _, callArgs := range args {
+		dst = append(dst, '|')
+		for _, v := range callArgs {
+			dst = v.Append(dst)
+			dst = append(dst, ';', byte('0'+int(v.Kind())))
 		}
 	}
-	return b.String()
+	return dst
 }
 
 // LHS evaluates the left-hand side sum of the ground constraint on db.
 func (g *Ground) LHS(db *relational.Database) (float64, error) {
-	sum := 0.0
-	for i, call := range g.Source.Calls {
-		v, err := call.Func.Eval(db, g.Args[i])
-		if err != nil {
-			return 0, err
-		}
-		sum += call.Coeff * v
-	}
-	return sum, nil
+	return NewEvaluator(db).LHS(g)
 }
 
 // Holds checks whether the ground constraint is satisfied on db within eps.
@@ -232,14 +229,20 @@ func (g *Ground) Holds(db *relational.Database, eps float64) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	return g.satisfiedBy(lhs, eps), nil
+}
+
+// satisfiedBy reports whether a left-hand side value satisfies the ground
+// constraint within eps.
+func (g *Ground) satisfiedBy(lhs, eps float64) bool {
 	switch g.Source.Rel {
 	case LE:
-		return lhs <= g.Source.K+eps, nil
+		return lhs <= g.Source.K+eps
 	case GE:
-		return lhs >= g.Source.K-eps, nil
+		return lhs >= g.Source.K-eps
 	default:
 		d := lhs - g.Source.K
-		return d <= eps && d >= -eps, nil
+		return d <= eps && d >= -eps
 	}
 }
 
@@ -280,10 +283,18 @@ func (g *Ground) String() string {
 // db: one Ground per ground substitution theta making the body true, with
 // duplicates (substitutions agreeing on every call argument) merged.
 func (k *Constraint) GroundAll(db *relational.Database) ([]*Ground, error) {
+	grounds, _, err := k.groundAll(db)
+	return grounds, err
+}
+
+// groundAll is GroundAll that also returns each ground's deduplication key,
+// built from the substitution before the Ground is allocated.
+func (k *Constraint) groundAll(db *relational.Database) ([]*Ground, []string, error) {
 	if err := k.Validate(db); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var out []*Ground
+	var keys []string
 	seen := map[string]bool{}
 	binding := map[string]relational.Value{}
 
@@ -297,34 +308,45 @@ func (k *Constraint) GroundAll(db *relational.Database) ([]*Ground, error) {
 		}
 	}
 
-	emit := func() error {
-		g := &Ground{Source: k, Binding: Binding{}, Args: make([][]relational.Value, len(k.Calls))}
+	// args holds the current substitution's call arguments; a new Ground
+	// copies them only when their key has not been seen.
+	args := make([][]relational.Value, len(k.Calls))
+	for i, call := range k.Calls {
+		args[i] = make([]relational.Value, len(call.Args))
+	}
+	var key []byte
+	emit := func() {
+		for i, call := range k.Calls {
+			for j, a := range call.Args {
+				if name, ok := a.IsVar(); ok {
+					args[i][j] = binding[name]
+				} else {
+					args[i][j] = a.val
+				}
+			}
+		}
+		key = appendGroundKey(key[:0], k.Name, args)
+		if seen[string(key)] {
+			return
+		}
+		ks := string(key)
+		seen[ks] = true
+		g := &Ground{Source: k, Binding: make(Binding, len(relevant)), Args: make([][]relational.Value, len(k.Calls))}
 		for name := range relevant {
 			g.Binding[name] = binding[name]
 		}
-		for i, call := range k.Calls {
-			args := make([]relational.Value, len(call.Args))
-			for j, a := range call.Args {
-				if name, ok := a.IsVar(); ok {
-					args[j] = binding[name]
-				} else {
-					args[j] = a.val
-				}
-			}
-			g.Args[i] = args
+		for i := range args {
+			g.Args[i] = slices.Clone(args[i])
 		}
-		key := g.Key()
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, g)
-		}
-		return nil
+		out = append(out, g)
+		keys = append(keys, ks)
 	}
 
-	var match func(atomIdx int) error
-	match = func(atomIdx int) error {
+	var match func(atomIdx int)
+	match = func(atomIdx int) {
 		if atomIdx == len(k.Body) {
-			return emit()
+			emit()
+			return
 		}
 		atom := k.Body[atomIdx]
 		rel := db.Relation(atom.Relation)
@@ -354,20 +376,15 @@ func (k *Constraint) GroundAll(db *relational.Database) ([]*Ground, error) {
 				}
 			}
 			if ok {
-				if err := match(atomIdx + 1); err != nil {
-					return err
-				}
+				match(atomIdx + 1)
 			}
 			for _, name := range bound {
 				delete(binding, name)
 			}
 		}
-		return nil
 	}
-	if err := match(0); err != nil {
-		return nil, err
-	}
-	return out, nil
+	match(0)
+	return out, keys, nil
 }
 
 // Violation reports one ground constraint that does not hold, with the
@@ -386,21 +403,18 @@ func (v Violation) String() string {
 // (D |= AC iff the result is empty). eps is the numeric tolerance.
 func Check(db *relational.Database, acs []*Constraint, eps float64) ([]Violation, error) {
 	var out []Violation
+	ev := NewEvaluator(db)
 	for _, k := range acs {
 		grounds, err := k.GroundAll(db)
 		if err != nil {
 			return nil, err
 		}
 		for _, g := range grounds {
-			lhs, err := g.LHS(db)
+			lhs, err := ev.LHS(g)
 			if err != nil {
 				return nil, err
 			}
-			ok, err := g.Holds(db, eps)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
+			if !g.satisfiedBy(lhs, eps) {
 				out = append(out, Violation{Ground: g, LHS: lhs})
 			}
 		}

@@ -1,0 +1,229 @@
+package aggrcons
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+
+	"dart/internal/relational"
+)
+
+// Evaluator answers aggregation calls chi(args) on one database for the
+// length of one pass over a constraint set (one Check, one BuildSystem).
+//
+// The first time it meets a function it splits the function's relation into
+// buckets keyed on the values of the WHERE clause's top-level Attr = Param
+// conjuncts (either orientation). A call then runs the unchanged WHERE
+// clause on the tuples of its own bucket only, so a pass costs
+// O(|R| + sum |T_chi|) instead of O(|R| x calls).
+//
+// The answers are exactly those of AggFunc.Tuples: buckets keep relation
+// order, and key equality follows Cmp.Eval (numbers compare by AsFloat, so
+// Int 2000 equals Real 2000.0 and -0 equals +0; strings by content; a string
+// never equals a number). A function is answered by the full scan when its
+// WHERE clause has no Attr = Param conjunct, when the clause could fail on
+// some tuple (unknown attribute or operator, parameter out of range), when
+// the argument count is wrong, or when a key value or an argument is NaN.
+//
+// The index reflects the database as it was when first built: an Evaluator
+// must not outlive a pass, nor see the database change under it.
+type Evaluator struct {
+	db      *relational.Database
+	indexes map[*AggFunc]*funcIndex
+	key     []byte
+}
+
+// funcIndex buckets one function's relation on its key conjuncts. Without
+// buckets the function is answered by the scan.
+type funcIndex struct {
+	attrs   []int // schema position of each key attribute
+	params  []int // parameter index each key attribute is compared with
+	bucket  map[string]int
+	buckets [][]*relational.Tuple
+}
+
+// NewEvaluator returns an evaluator over db.
+func NewEvaluator(db *relational.Database) *Evaluator {
+	return &Evaluator{db: db, indexes: map[*AggFunc]*funcIndex{}}
+}
+
+// Tuples returns T_chi for the call f(args), as AggFunc.Tuples does.
+func (e *Evaluator) Tuples(f *AggFunc, args []relational.Value) ([]*relational.Tuple, error) {
+	ix := e.index(f)
+	if ix.buckets == nil || len(args) != len(f.Params) {
+		return f.Tuples(e.db, args)
+	}
+	var ok bool
+	e.key = e.key[:0]
+	for _, p := range ix.params {
+		if e.key, ok = appendKeyValue(e.key, args[p]); !ok {
+			return f.Tuples(e.db, args)
+		}
+	}
+	b, found := ix.bucket[string(e.key)]
+	if !found {
+		return nil, nil
+	}
+	var out []*relational.Tuple
+	for _, t := range ix.buckets[b] {
+		ok, err := f.Where.Eval(t, args)
+		if err != nil {
+			return nil, fmt.Errorf("aggrcons: evaluating WHERE of %s: %w", f.Name, err)
+		}
+		if ok {
+			out = append(out, t)
+		}
+	}
+	return out, nil
+}
+
+// Eval computes f(args), as AggFunc.Eval does.
+func (e *Evaluator) Eval(f *AggFunc, args []relational.Value) (float64, error) {
+	ts, err := e.Tuples(f, args)
+	if err != nil {
+		return 0, err
+	}
+	return f.sum(ts)
+}
+
+// LHS evaluates the left-hand side sum of a ground constraint.
+func (e *Evaluator) LHS(g *Ground) (float64, error) {
+	sum := 0.0
+	for i, call := range g.Source.Calls {
+		v, err := e.Eval(call.Func, g.Args[i])
+		if err != nil {
+			return 0, err
+		}
+		sum += call.Coeff * v
+	}
+	return sum, nil
+}
+
+// index returns f's bucket index, building it on first use.
+func (e *Evaluator) index(f *AggFunc) *funcIndex {
+	if ix, ok := e.indexes[f]; ok {
+		return ix
+	}
+	ix := &funcIndex{}
+	e.indexes[f] = ix
+	r := e.db.Relation(f.Relation)
+	if r == nil || !errorFree(f.Where, r.Schema(), len(f.Params)) {
+		return ix
+	}
+	for _, c := range conjuncts(f.Where, nil) {
+		attr, param, ok := attrEqParam(c)
+		if ok {
+			ix.attrs = append(ix.attrs, r.Schema().AttrIndex(attr))
+			ix.params = append(ix.params, param)
+		}
+	}
+	if len(ix.attrs) == 0 {
+		return ix
+	}
+	bucket := map[string]int{}
+	var buckets [][]*relational.Tuple
+	for _, t := range r.Tuples() {
+		var ok bool
+		e.key = e.key[:0]
+		for _, a := range ix.attrs {
+			if e.key, ok = appendKeyValue(e.key, t.At(a)); !ok {
+				return ix
+			}
+		}
+		b, found := bucket[string(e.key)]
+		if !found {
+			b = len(buckets)
+			bucket[string(e.key)] = b
+			buckets = append(buckets, nil)
+		}
+		buckets[b] = append(buckets[b], t)
+	}
+	ix.bucket, ix.buckets = bucket, buckets
+	return ix
+}
+
+// conjuncts appends the top-level conjuncts of e, flattening nested Ands.
+func conjuncts(e BoolExpr, dst []BoolExpr) []BoolExpr {
+	if a, ok := e.(And); ok {
+		for _, f := range a {
+			dst = conjuncts(f, dst)
+		}
+		return dst
+	}
+	return append(dst, e)
+}
+
+// attrEqParam matches Attr = Param and Param = Attr.
+func attrEqParam(e BoolExpr) (attr string, param int, ok bool) {
+	c, isCmp := e.(Cmp)
+	if !isCmp || c.Op != CmpEQ {
+		return "", 0, false
+	}
+	switch {
+	case c.L.kind == opAttr && c.R.kind == opParam:
+		return c.L.attr, c.R.param, true
+	case c.L.kind == opParam && c.R.kind == opAttr:
+		return c.R.attr, c.L.param, true
+	}
+	return "", 0, false
+}
+
+// errorFree reports whether evaluating e on any tuple of scheme s, with
+// arity arguments, cannot fail. Only then may tuples outside a call's
+// bucket go unevaluated: the scan would report any per-tuple error.
+func errorFree(e BoolExpr, s *relational.Schema, arity int) bool {
+	operandOK := func(o Operand) bool {
+		switch o.kind {
+		case opAttr:
+			return s.HasAttr(o.attr)
+		case opParam:
+			return o.param >= 0 && o.param < arity
+		default:
+			return true
+		}
+	}
+	switch x := e.(type) {
+	case Cmp:
+		return x.Op >= CmpEQ && x.Op <= CmpGE && operandOK(x.L) && operandOK(x.R)
+	case And:
+		for _, f := range x {
+			if !errorFree(f, s, arity) {
+				return false
+			}
+		}
+		return true
+	case Or:
+		for _, f := range x {
+			if !errorFree(f, s, arity) {
+				return false
+			}
+		}
+		return true
+	case Not:
+		return errorFree(x.F, s, arity)
+	default:
+		return false
+	}
+}
+
+// appendKeyValue appends an encoding of v under which two values are equal
+// exactly when Cmp.Eval finds them equal: numbers by AsFloat (-0 as +0),
+// strings by content, never a string and a number. It reports false for
+// NaN, which Cmp.Eval finds equal to every number.
+func appendKeyValue(dst []byte, v relational.Value) ([]byte, bool) {
+	if !v.IsNumeric() {
+		s := v.AsString()
+		dst = append(dst, 's')
+		dst = binary.AppendUvarint(dst, uint64(len(s)))
+		return append(dst, s...), true
+	}
+	f := v.AsFloat()
+	if math.IsNaN(f) {
+		return dst, false
+	}
+	if f == 0 {
+		f = 0 // -0 keys as +0
+	}
+	dst = append(dst, 'n')
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f)), true
+}

@@ -1,0 +1,9 @@
+package aggrcons
+
+import "dart/internal/relational"
+
+// GroundAllKeys is GroundAll together with the deduplication key it built
+// for each ground before allocating it.
+func GroundAllKeys(k *Constraint, db *relational.Database) ([]*Ground, []string, error) {
+	return k.groundAll(db)
+}

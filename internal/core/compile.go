@@ -79,6 +79,7 @@ func BuildSystem(db *relational.Database, acs []*aggrcons.Constraint) (*System, 
 	// registration order, tuple insertion order, scheme attribute order) so
 	// that z_1..z_N match the paper's tuple-order numbering.
 	var all []Item
+	var allTuples []*relational.Tuple // parallel to all
 	allIdx := map[Item]int{}
 	for _, relName := range db.RelationNames() {
 		rel := db.Relation(relName)
@@ -91,6 +92,7 @@ func BuildSystem(db *relational.Database, acs []*aggrcons.Constraint) (*System, 
 				it := Item{Relation: relName, TupleID: t.ID(), Attr: attr}
 				allIdx[it] = len(all)
 				all = append(all, it)
+				allTuples = append(allTuples, t)
 			}
 		}
 	}
@@ -103,10 +105,15 @@ func BuildSystem(db *relational.Database, acs []*aggrcons.Constraint) (*System, 
 		ground *aggrcons.Ground
 	}
 	var raw []rawRow
+	ev := aggrcons.NewEvaluator(db)
 	for _, k := range acs {
 		grounds, err := k.GroundAll(db)
 		if err != nil {
 			return nil, err
+		}
+		forms := make([]aggrcons.LinearForm, len(k.Calls))
+		for ci, call := range k.Calls {
+			forms[ci] = aggrcons.Linearize(call.Func.Expr)
 		}
 		for gi, g := range grounds {
 			row := rawRow{
@@ -117,8 +124,8 @@ func BuildSystem(db *relational.Database, acs []*aggrcons.Constraint) (*System, 
 				ground: g,
 			}
 			for ci, call := range k.Calls {
-				lf := aggrcons.Linearize(call.Func.Expr)
-				tuples, err := call.Func.Tuples(db, g.Args[ci])
+				lf := forms[ci]
+				tuples, err := ev.Tuples(call.Func, g.Args[ci])
 				if err != nil {
 					return nil, err
 				}
@@ -191,10 +198,9 @@ func BuildSystem(db *relational.Database, acs []*aggrcons.Constraint) (*System, 
 		it := all[oldIdx]
 		sys.Items = append(sys.Items, it)
 		sys.index[it] = newIdx
-		rel := db.Relation(it.Relation)
-		t := rel.TupleByID(it.TupleID)
+		t := allTuples[oldIdx]
 		sys.V = append(sys.V, t.Get(it.Attr).AsFloat())
-		dom, _ := rel.Schema().DomainOf(it.Attr)
+		dom, _ := t.Schema().DomainOf(it.Attr)
 		sys.Domains = append(sys.Domains, dom)
 	}
 	for _, r := range raw {

@@ -167,9 +167,9 @@ func scoreRepair(rep *core.Repair, truth map[core.Item]float64) repairAccuracy {
 	return acc
 }
 
-// budgetWithErrors builds a consistent budget database of the given number
+// BudgetWithErrors builds a consistent budget database of the given number
 // of years, then injects k value errors. Returns db and truth values.
-func budgetWithErrors(years, k int, rng *rand.Rand) (*relational.Database, map[core.Item]float64) {
+func BudgetWithErrors(years, k int, rng *rand.Rand) (*relational.Database, map[core.Item]float64) {
 	b := docgen.RandomBudget(rng, 2000, years)
 	db := docgen.BudgetDatabase(b)
 	truth := corruptValues(db, "CashBudget", "Value", k, rng)
@@ -224,7 +224,7 @@ func E2RepairQuality(docsPerPoint int, seed int64) (*Table, error) {
 		rng := rand.New(rand.NewSource(seed + int64(errs)))
 		var cards, exact, tp, fp, missed, wrong int
 		for d := 0; d < docsPerPoint; d++ {
-			db, truth := budgetWithErrors(3, errs, rng)
+			db, truth := BudgetWithErrors(3, errs, rng)
 			res, err := core.FindRepair(context.Background(), &core.MILPSolver{}, db, acs, nil)
 			if err != nil {
 				return nil, err
@@ -261,7 +261,7 @@ func E3Scaling(errs int, seed int64) (*Table, error) {
 	acs := constraintsRE()
 	for _, years := range []int{2, 5, 10, 20, 50, 100} {
 		rng := rand.New(rand.NewSource(seed + int64(years)))
-		db, _ := budgetWithErrors(years, errs, rng)
+		db, _ := BudgetWithErrors(years, errs, rng)
 		start := time.Now()
 		prob, err := core.Prepare(db, acs)
 		if err != nil {

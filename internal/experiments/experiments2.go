@@ -154,7 +154,7 @@ func E7BigM(seed int64) (*Table, error) {
 		Header: []string{"M choice", "M value", "nodes", "simplex iters", "time", "card"}}
 	acs := constraintsRE()
 	rng := rand.New(rand.NewSource(seed))
-	db, _ := budgetWithErrors(3, 2, rng)
+	db, _ := BudgetWithErrors(3, 2, rng)
 	sys, err := core.BuildSystem(db, acs)
 	if err != nil {
 		return nil, err
@@ -191,7 +191,7 @@ func E8Formulation(seed int64) (*Table, error) {
 		Header: []string{"formulation", "cover cuts", "vars", "rows", "nodes", "simplex iters", "time", "card"}}
 	acs := constraintsRE()
 	rng := rand.New(rand.NewSource(seed))
-	db, _ := budgetWithErrors(10, 3, rng)
+	db, _ := BudgetWithErrors(10, 3, rng)
 	sys, err := core.BuildSystem(db, acs)
 	if err != nil {
 		return nil, err

@@ -85,6 +85,29 @@ func TestEscapeTextRoundTrip(t *testing.T) {
 	}
 }
 
+func TestEscapeTextOutput(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{`&<>"'`, `&amp;&lt;&gt;&quot;'`},
+		{"plain text 2003", "plain text 2003"},
+		{"", ""},
+	} {
+		if got := EscapeText(tc.in); got != tc.want {
+			t.Errorf("EscapeText(%q) = %q, want %q", tc.in, got, tc.want)
+		}
+	}
+}
+
+func TestEscapeTextAllocs(t *testing.T) {
+	// The escaper is shared: plain text costs nothing, escaped text only
+	// its output buffer.
+	if n := testing.AllocsPerRun(100, func() { EscapeText("net cash inflow") }); n > 0 {
+		t.Errorf("EscapeText(plain) allocs = %v, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { EscapeText(`a < b & "c"`) }); n > 2 {
+		t.Errorf("EscapeText(escaped) allocs = %v, want <= 2", n)
+	}
+}
+
 func TestParseSimpleTable(t *testing.T) {
 	src := `
 <table>

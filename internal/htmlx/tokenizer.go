@@ -250,8 +250,10 @@ func DecodeEntities(s string) string {
 	return b.String()
 }
 
+// textEscaper is built once: a *strings.Replacer is safe for concurrent use.
+var textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+
 // EscapeText escapes character data for embedding in HTML.
 func EscapeText(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
+	return textEscaper.Replace(s)
 }

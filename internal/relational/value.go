@@ -176,6 +176,18 @@ func (v Value) String() string {
 	}
 }
 
+// Append appends the String form of v to dst.
+func (v Value) Append(dst []byte) []byte {
+	switch v.kind {
+	case DomainInt:
+		return strconv.AppendInt(dst, v.i, 10)
+	case DomainReal:
+		return strconv.AppendFloat(dst, v.r, 'g', -1, 64)
+	default:
+		return append(dst, v.s...)
+	}
+}
+
 // ParseValue parses the textual form of a value belonging to domain d.
 // String values are taken verbatim (surrounding whitespace trimmed).
 func ParseValue(s string, d Domain) (Value, error) {
