@@ -5,8 +5,8 @@ package es
 import "os"
 
 type wal struct {
-	f   *os.File
-	idx *os.File
+	f    *os.File
+	idx  *os.File
 	errs int
 }
 
@@ -42,7 +42,7 @@ func (w *wal) ignoredOnOnePath(fast bool) error {
 }
 
 func (w *wal) overwrittenBeforeCheck() error {
-	err := w.f.Sync() // the finding lands on the overwrite below
+	err := w.f.Sync()  // the finding lands on the overwrite below
 	err = w.idx.Sync() // want "error from Sync is overwritten before being consulted"
 	return err
 }

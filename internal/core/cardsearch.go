@@ -23,12 +23,10 @@ import (
 // answer cardinality k but typically very fast in the acquisition-error
 // regime the paper targets (k <= 6), making it both a cross-check for MILP
 // optima and a baseline for experiment E6.
-type CardinalitySearchSolver struct {
-	// MaxK bounds the search depth (default 6).
-	MaxK int
-	// BigM bounds candidate value displacement; 0 derives it from data.
-	BigM float64
-}
+type CardinalitySearchSolver struct{}
+
+// cardSearchMaxK bounds the search depth of CardinalitySearchSolver.
+const cardSearchMaxK = 6
 
 // Name implements Solver.
 func (s *CardinalitySearchSolver) Name() string { return "card-search" }
@@ -40,14 +38,7 @@ func (s *CardinalitySearchSolver) SolveProblem(ctx context.Context, prob *Proble
 		return nil, err
 	}
 	sys, db := prob.System(), prob.Database()
-	maxK := s.MaxK
-	if maxK == 0 {
-		maxK = 6
-	}
-	mBound := s.BigM
-	if mBound <= 0 {
-		mBound = sys.PracticalM()
-	}
+	mBound := sys.PracticalM()
 	res := &Result{M: mBound}
 
 	// Forced items are handled by substituting the forced value and
@@ -75,7 +66,7 @@ func (s *CardinalitySearchSolver) SolveProblem(ctx context.Context, prob *Proble
 	// rows: a repair never needs to touch values outside them.
 	candidates := componentItems(sys, violated, frozen)
 
-	for k := 1; k <= maxK && k <= len(candidates); k++ {
+	for k := 1; k <= cardSearchMaxK && k <= len(candidates); k++ {
 		found, solvedVals, err := s.searchK(sys, vals, frozen, violated, candidates, k, mBound, res)
 		if err != nil {
 			return nil, err

@@ -478,32 +478,3 @@ func TestPracticalMBinding(t *testing.T) {
 		t.Errorf("repair = %v", res.Repair)
 	}
 }
-
-func TestParallelDecompositionMatchesSequential(t *testing.T) {
-	// Many independent errors across many years: parallel component solving
-	// must return exactly the sequential result.
-	db := runningex.CorrectDatabase()
-	corrupt(t, db, map[[2]string]int64{
-		{"2003", "cash sales"}:          170,
-		{"2003", "ending cash balance"}: 999,
-		{"2004", "receivables"}:         130,
-		{"2004", "capital expenditure"}: 45,
-	})
-	seq, err := core.FindRepair(context.Background(), &core.MILPSolver{}, db.Clone(), runningex.Constraints(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := core.FindRepair(context.Background(), &core.MILPSolver{Workers: 4}, db.Clone(), runningex.Constraints(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Card != par.Card {
-		t.Errorf("cards: sequential %d, parallel %d", seq.Card, par.Card)
-	}
-	if seq.Repair.String() != par.Repair.String() {
-		t.Errorf("repairs differ:\nseq: %v\npar: %v", seq.Repair, par.Repair)
-	}
-	if par.Components != seq.Components {
-		t.Errorf("components: %d vs %d", par.Components, seq.Components)
-	}
-}

@@ -14,6 +14,9 @@ import (
 // one: integer targets are rounded, so anything below it is float noise.
 const convergeTol = 1e-9
 
+// greedyMaxIters caps the repair iterations of the greedy baselines.
+const greedyMaxIters = 200
+
 type greedyPick int
 
 const (
@@ -31,11 +34,8 @@ const (
 // iteration budget is spent. The result is a valid repair when it
 // converges, but carries no minimality guarantee — that contrast against
 // the MILP solver is experiment E6.
-func greedySolve(prob *Problem, forced map[Item]float64, pick greedyPick, maxIters int) (*Result, error) {
+func greedySolve(prob *Problem, forced map[Item]float64, pick greedyPick) (*Result, error) {
 	sys, db := prob.System(), prob.Database()
-	if maxIters == 0 {
-		maxIters = 200
-	}
 	vals := append([]float64(nil), sys.V...)
 	frozen := make([]bool, sys.N())
 	for it, v := range forced {
@@ -48,7 +48,7 @@ func greedySolve(prob *Problem, forced map[Item]float64, pick greedyPick, maxIte
 	res := &Result{}
 	prevPick := -1 // avoid immediate ping-pong on items shared by two rows
 
-	for iter := 0; iter < maxIters; iter++ {
+	for iter := 0; iter < greedyMaxIters; iter++ {
 		violated := violatedRows(sys, vals, 1e-6)
 		if len(violated) == 0 {
 			res.Status = milp.StatusOptimal
@@ -125,10 +125,7 @@ func greedySolve(prob *Problem, forced map[Item]float64, pick greedyPick, maxIte
 
 // GreedyLocalSolver is a heuristic baseline that fixes each violated ground
 // constraint by overwriting its least-shared (most local) value.
-type GreedyLocalSolver struct {
-	// MaxIters caps repair iterations (default 200).
-	MaxIters int
-}
+type GreedyLocalSolver struct{}
 
 // Name implements Solver.
 func (s *GreedyLocalSolver) Name() string { return "greedy-local" }
@@ -138,17 +135,14 @@ func (s *GreedyLocalSolver) SolveProblem(ctx context.Context, prob *Problem, for
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return greedySolve(prob, forced, pickRarest, s.MaxIters)
+	return greedySolve(prob, forced, pickRarest)
 }
 
 // GreedyAggregateSolver is a heuristic baseline that fixes each violated
 // ground constraint by overwriting its most-shared value — which for
 // balance-sheet style constraints means recomputing aggregate and derived
 // items from the detail items, the strategy a spreadsheet user would apply.
-type GreedyAggregateSolver struct {
-	// MaxIters caps repair iterations (default 200).
-	MaxIters int
-}
+type GreedyAggregateSolver struct{}
 
 // Name implements Solver.
 func (s *GreedyAggregateSolver) Name() string { return "greedy-aggregate" }
@@ -158,5 +152,5 @@ func (s *GreedyAggregateSolver) SolveProblem(ctx context.Context, prob *Problem,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return greedySolve(prob, forced, pickCommonest, s.MaxIters)
+	return greedySolve(prob, forced, pickCommonest)
 }

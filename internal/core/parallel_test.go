@@ -41,32 +41,30 @@ func TestSolverWorkersMatchesSequential(t *testing.T) {
 		return res
 	}
 	seq := run(&core.MILPSolver{SolverWorkers: 1})
-	for _, s := range []*core.MILPSolver{
-		{SolverWorkers: 4},
-		{Workers: 2, SolverWorkers: 4}, // two-level: components x nodes
-		{Workers: 4, SolverWorkers: 1}, // component parallelism alone
-	} {
-		par := run(s)
+	for _, workers := range []int{2, 4} {
+		par := run(&core.MILPSolver{SolverWorkers: workers})
 		if seq.Card != par.Card {
-			t.Errorf("Workers=%d SolverWorkers=%d: card %d, want %d", s.Workers, s.SolverWorkers, par.Card, seq.Card)
+			t.Errorf("SolverWorkers=%d: card %d, want %d", workers, par.Card, seq.Card)
 		}
 		if seq.Repair.String() != par.Repair.String() {
-			t.Errorf("Workers=%d SolverWorkers=%d: repairs differ:\nseq: %v\npar: %v",
-				s.Workers, s.SolverWorkers, par.Repair, seq.Repair)
+			t.Errorf("SolverWorkers=%d: repairs differ:\nseq: %v\npar: %v",
+				workers, seq.Repair, par.Repair)
+		}
+		if seq.Components != par.Components {
+			t.Errorf("SolverWorkers=%d: components %d, want %d", workers, par.Components, seq.Components)
 		}
 	}
 }
 
-// TestComponentErrorSurfacesOverSiblingCancel: when one component solve
-// fails, siblings are cancelled; the error returned must be the real
-// failure, never the context.Canceled a cancelled sibling reports.
+// TestComponentErrorSurfacesOverSiblingCancel: when a component solve
+// fails, that failure is what the multi-component solve returns, unwrapped
+// by any cancellation of the components after it.
 func TestComponentErrorSurfacesOverSiblingCancel(t *testing.T) {
 	db := runningex.CorrectDatabase()
 	corrupt(t, db, multiErrorDB(t))
 	// A negative simplex iteration budget makes every component's LP fail
-	// immediately with a real error, racing the sibling cancellation.
+	// immediately with a real error.
 	s := &core.MILPSolver{
-		Workers: 4,
 		Options: milp.MILPOptions{Simplex: milp.SimplexOptions{MaxIters: -1}},
 	}
 	_, err := core.FindRepair(context.Background(), s, db, runningex.Constraints(), nil)
@@ -74,7 +72,7 @@ func TestComponentErrorSurfacesOverSiblingCancel(t *testing.T) {
 		t.Fatal("expected an error from the crippled simplex")
 	}
 	if errors.Is(err, context.Canceled) {
-		t.Fatalf("sibling cancellation masked the real error: %v", err)
+		t.Fatalf("cancellation masked the real error: %v", err)
 	}
 	if !strings.Contains(err.Error(), "exceeded") {
 		t.Errorf("unexpected error: %v", err)
@@ -82,8 +80,7 @@ func TestComponentErrorSurfacesOverSiblingCancel(t *testing.T) {
 }
 
 // TestCallerCancelStillSurfaces: when the caller's own context is
-// cancelled, that cancellation is what comes back (not swallowed by the
-// deterministic error selection).
+// cancelled, that cancellation is what comes back.
 func TestCallerCancelStillSurfaces(t *testing.T) {
 	db := runningex.CorrectDatabase()
 	corrupt(t, db, multiErrorDB(t))
@@ -93,7 +90,7 @@ func TestCallerCancelStillSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = (&core.MILPSolver{Workers: 2}).SolveProblem(ctx, prob, nil)
+	_, err = (&core.MILPSolver{}).SolveProblem(ctx, prob, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

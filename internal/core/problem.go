@@ -22,8 +22,8 @@ import (
 // from the loop. Prepare is the single entry point; solvers consume the
 // problem through SolveProblem.
 //
-// A Problem is safe for concurrent use: component solves running in
-// parallel (MILPSolver.Workers) share the memo under a mutex.
+// A Problem is safe for concurrent use: sessions sharing one problem share
+// the memo under a mutex.
 type Problem struct {
 	db  *relational.Database
 	acs []*aggrcons.Constraint

@@ -2,12 +2,8 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"dart/internal/aggrcons"
 	"dart/internal/milp"
@@ -82,33 +78,26 @@ type MILPSolver struct {
 	BigM float64
 	// Options tunes the underlying branch-and-bound.
 	Options milp.MILPOptions
-	// SkipVerify disables the post-solve consistency verification.
-	SkipVerify bool
 	// DisableCoverCuts turns off the violated-row cover cuts (for the E8
 	// ablation); see CompileOptions.DisableCoverCuts.
 	DisableCoverCuts bool
 	// DisableDecomposition solves the whole system as one MILP instead of
 	// per connected component (for the E3 ablation).
 	DisableDecomposition bool
-	// Workers bounds the number of connected components solved
-	// concurrently; 0 or 1 solves sequentially. Components are independent
-	// subproblems, so parallel solving is exact; results merge in
-	// deterministic component order.
-	Workers int
-	// SolverWorkers is the total branch-and-bound worker budget shared by
-	// all concurrently solving components (two-level parallelism:
-	// components x nodes). 0 means GOMAXPROCS. Each component solve gets
-	// budget/active-components node workers (at least one); worker counts
-	// never change results (see milp.MILPOptions.Workers), so neither
-	// Workers nor SolverWorkers participates in the memo fingerprint.
+	// SolverWorkers is the branch-and-bound worker budget of each component
+	// solve; 0 means GOMAXPROCS, and an explicit Options.Workers takes
+	// precedence. Components solve one after another. Worker counts never
+	// change results (see milp.MILPOptions.Workers), so SolverWorkers does
+	// not participate in the memo fingerprint.
 	SolverWorkers int
-	// MaxEscalations bounds big-M escalation attempts (default 3).
-	MaxEscalations int
 	// DisableWarmStart turns off the warm-start cutoff derived from a
 	// prepared problem's previous solve of the same component (for
 	// benchmarking the effect; results are identical either way).
 	DisableWarmStart bool
 }
+
+// maxEscalations bounds the big-M escalation attempts of one system solve.
+const maxEscalations = 3
 
 // Name implements Solver.
 func (s *MILPSolver) Name() string { return "milp-" + s.Formulation.String() }
@@ -119,7 +108,6 @@ func (s *MILPSolver) solverFingerprint() string {
 	return s.Name() +
 		"|m=" + strconv.FormatFloat(s.BigM, 'g', -1, 64) +
 		"|cc=" + strconv.FormatBool(s.DisableCoverCuts) +
-		"|esc=" + strconv.Itoa(s.MaxEscalations) +
 		"|nodes=" + strconv.Itoa(s.Options.MaxNodes) +
 		"|tol=" + strconv.FormatFloat(s.Options.IntTol, 'g', -1, 64) +
 		"|round=" + strconv.FormatBool(s.Options.DisableRounding)
@@ -133,7 +121,7 @@ func (s *MILPSolver) SolveProblem(ctx context.Context, prob *Problem, forced map
 	var res *Result
 	var err error
 	if s.DisableDecomposition {
-		res, err = s.solveSystem(ctx, prob.System(), forced, prob.Database(), nil, s.nodeWorkers(1))
+		res, err = s.solveSystem(ctx, prob.System(), forced, prob.Database(), nil)
 	} else {
 		res, err = s.solvePrepared(ctx, prob, forced)
 	}
@@ -143,29 +131,24 @@ func (s *MILPSolver) SolveProblem(ctx context.Context, prob *Problem, forced map
 	if res.Repair != nil {
 		res.Repair.Sort()
 		res.Card = res.Repair.Card()
-		if !s.SkipVerify {
-			if err := prob.VerifyRepair(res.Repair, 1e-6); err != nil {
-				return nil, fmt.Errorf("core: MILP solution failed verification: %w", err)
-			}
+		if err := prob.VerifyRepair(res.Repair, 1e-6); err != nil {
+			return nil, fmt.Errorf("core: MILP solution failed verification: %w", err)
 		}
 	}
 	return res, nil
 }
 
 // solvePrepared walks the prepared problem's connected components and
-// solves only those containing violated rows, optionally in parallel.
+// solves, in component order, only those containing violated rows.
 // Component solves are memoized on the problem keyed by the solver
 // configuration and the pins restricted to the component, so a validation
 // loop re-solves only the components its latest pins actually touch.
 func (s *MILPSolver) solvePrepared(ctx context.Context, prob *Problem, forced map[Item]float64) (*Result, error) {
 	fp := fingerprintOf(s)
 	total := &Result{Status: milp.StatusOptimal, Repair: &Repair{}}
-	type pendingComp struct {
-		ci  int
-		sub *System
-	}
-	var pending []pendingComp
-	for ci, sub := range prob.Components() {
+	var pending []int
+	comps := prob.Components()
+	for ci, sub := range comps {
 		vals := append([]float64(nil), sub.V...)
 		for it, v := range forced {
 			if i := sub.IndexOf(it); i >= 0 {
@@ -183,16 +166,8 @@ func (s *MILPSolver) solvePrepared(ctx context.Context, prob *Problem, forced ma
 			// A violated variable-free row: no repair exists.
 			return &Result{Status: milp.StatusInfeasible}, nil
 		}
-		pending = append(pending, pendingComp{ci, sub})
+		pending = append(pending, ci)
 	}
-
-	// Split the node-worker budget across the components that actually solve
-	// concurrently; a lone (or sequential) component gets the whole budget.
-	concurrent := 1
-	if s.Workers > 1 && len(pending) > 1 {
-		concurrent = min(s.Workers, len(pending))
-	}
-	nodeWorkers := s.nodeWorkers(concurrent)
 
 	// Live aggregation: the components-solved plan/done timeline the
 	// progress endpoint folds into components_done/components_total. All
@@ -200,127 +175,21 @@ func (s *MILPSolver) solvePrepared(ctx context.Context, prob *Problem, forced ma
 	// bus-bound.
 	jobSpan := obs.FromContext(ctx)
 	jobSpan.Publish(obs.Event{Kind: obs.KindComponent, Name: "plan", Total: len(pending)})
-	var solvedComponents atomic.Int64
 
-	results := make([]*Result, len(pending))
-	reused := make([]bool, len(pending))
-	errs := make([]error, len(pending))
-	solveOne := func(ctx context.Context, i int, pc pendingComp) {
-		// One "repair.component" span per component solve: sizes up front,
-		// solver work (or the memo hit) on completion. On a live trace the
-		// span is scope-tagged so every solver event the component's branch
-		// and bound publishes carries its component index.
-		if span := obs.FromContext(ctx).StartChild("repair.component"); span != nil {
-			defer span.End()
-			span.SetInt("component", pc.ci)
-			if span.IsLive() {
-				span.PublishScope("component:" + strconv.Itoa(pc.ci))
-			}
-			span.SetInt("vars", pc.sub.N())
-			span.SetInt("rows", len(pc.sub.Rows))
-			occ := 0
-			for _, r := range pc.sub.Rows {
-				occ += len(r.Coeffs)
-			}
-			span.SetInt("occurrences", occ)
-			ctx = obs.ContextWithSpan(ctx, span)
-			defer func() {
-				if res := results[i]; res != nil {
-					span.SetBool("memo_hit", reused[i])
-					span.SetStr("status", res.Status.String())
-					span.SetInt("nodes", res.Nodes)
-					span.SetInt("lp_iterations", res.Iterations)
-					span.SetInt("escalations", res.Escalations)
-					span.SetFloat("big_m", res.M)
-					if res.Repair != nil {
-						span.SetInt("card", res.Repair.Card())
-					}
-				} else if errs[i] != nil {
-					span.SetStr("error", errs[i].Error())
-				}
-			}()
-		}
-		key := pinKey(pc.sub, forced)
-		if m, ok := prob.lookupComponent(fp, pc.ci, key); ok {
-			results[i] = m.res
-			reused[i] = true
-			jobSpan.Publish(obs.Event{Kind: obs.KindComponent, Name: "done",
-				Done: int(solvedComponents.Add(1)), Total: len(pending)})
-			return
-		}
-		var warm []float64
-		if !s.DisableWarmStart {
-			warm = prob.warmStart(fp, pc.ci)
-		}
-		res, err := s.solveSystem(ctx, pc.sub, forced, prob.Database(), warm, nodeWorkers)
+	// A non-optimal component does not stop the loop: the rest are still
+	// solved, so the progress timeline reaches its planned total and later
+	// re-solves find them memoized. The first such status is reported.
+	var failed *Result
+	for i, ci := range pending {
+		res, reused, err := s.solveComponent(ctx, prob, fp, ci, comps[ci], forced)
 		if err != nil {
-			errs[i] = err
-			return
+			return nil, err
 		}
-		var vals []float64
-		if res.Status == milp.StatusOptimal && res.Repair != nil {
-			vals = solvedValues(pc.sub, res.Repair)
+		jobSpan.Publish(obs.Event{Kind: obs.KindComponent, Name: "done", Done: i + 1, Total: len(pending)})
+		if failed != nil {
+			continue
 		}
-		prob.storeComponent(fp, pc.ci, key, res, vals)
-		results[i] = res
-		jobSpan.Publish(obs.Event{Kind: obs.KindComponent, Name: "done",
-			Done: int(solvedComponents.Add(1)), Total: len(pending)})
-	}
-	if concurrent > 1 {
-		// A failing component solve cancels its siblings instead of letting
-		// them run to completion; the error returned below is still picked
-		// deterministically (lowest component index wins).
-		cctx, cancelAll := context.WithCancel(ctx)
-		defer cancelAll()
-		sem := make(chan struct{}, s.Workers)
-		var wg sync.WaitGroup
-		for i, pc := range pending {
-			wg.Add(1)
-			go func(i int, pc pendingComp) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				solveOne(cctx, i, pc)
-				if errs[i] != nil {
-					cancelAll()
-				}
-			}(i, pc)
-		}
-		wg.Wait()
-	} else {
-		for i, pc := range pending {
-			solveOne(ctx, i, pc)
-			if errs[i] != nil {
-				break
-			}
-		}
-	}
-
-	// Pick the surfaced error deterministically: the lowest-index component
-	// with a real failure wins; sibling aborts triggered by cancelAll (plain
-	// context.Canceled not caused by the caller's own context) never mask it.
-	var firstErr error
-	for i := range pending {
-		if errs[i] != nil && !errors.Is(errs[i], context.Canceled) {
-			firstErr = errs[i]
-			break
-		}
-	}
-	if firstErr == nil {
-		for i := range pending {
-			if errs[i] != nil {
-				firstErr = errs[i]
-				break
-			}
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	for i := range pending {
-		res := results[i]
-		if reused[i] {
+		if reused {
 			total.ComponentsReused++
 		} else {
 			total.Nodes += res.Nodes
@@ -330,25 +199,71 @@ func (s *MILPSolver) solvePrepared(ctx context.Context, prob *Problem, forced ma
 		total.Components++
 		total.M = max(total.M, res.M)
 		if res.Status != milp.StatusOptimal {
-			return &Result{Status: res.Status, Nodes: total.Nodes, Iterations: total.Iterations, Components: total.Components, ComponentsReused: total.ComponentsReused}, nil
+			failed = &Result{Status: res.Status, Nodes: total.Nodes, Iterations: total.Iterations, Components: total.Components, ComponentsReused: total.ComponentsReused}
+			continue
 		}
 		total.Repair.Updates = append(total.Repair.Updates, res.Repair.Updates...)
+	}
+	if failed != nil {
+		return failed, nil
 	}
 	return total, nil
 }
 
-// nodeWorkers splits the branch-and-bound worker budget across concurrent
-// component solves: each gets at least one node worker, and a lone
-// component gets the whole budget.
-func (s *MILPSolver) nodeWorkers(concurrent int) int {
-	budget := s.SolverWorkers
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
+// solveComponent solves component ci of the prepared problem, or serves it
+// from the memo (reused). It records one "repair.component" span: sizes up
+// front, solver work (or the memo hit) on completion. On a live trace the
+// span is scope-tagged so every solver event the component's branch and
+// bound publishes carries its component index.
+func (s *MILPSolver) solveComponent(ctx context.Context, prob *Problem, fp string, ci int, sub *System, forced map[Item]float64) (res *Result, reused bool, err error) {
+	if span := obs.FromContext(ctx).StartChild("repair.component"); span != nil {
+		defer span.End()
+		span.SetInt("component", ci)
+		if span.IsLive() {
+			span.PublishScope("component:" + strconv.Itoa(ci))
+		}
+		span.SetInt("vars", sub.N())
+		span.SetInt("rows", len(sub.Rows))
+		occ := 0
+		for _, r := range sub.Rows {
+			occ += len(r.Coeffs)
+		}
+		span.SetInt("occurrences", occ)
+		ctx = obs.ContextWithSpan(ctx, span)
+		defer func() {
+			if err != nil {
+				span.SetStr("error", err.Error())
+				return
+			}
+			span.SetBool("memo_hit", reused)
+			span.SetStr("status", res.Status.String())
+			span.SetInt("nodes", res.Nodes)
+			span.SetInt("lp_iterations", res.Iterations)
+			span.SetInt("escalations", res.Escalations)
+			span.SetFloat("big_m", res.M)
+			if res.Repair != nil {
+				span.SetInt("card", res.Repair.Card())
+			}
+		}()
 	}
-	if concurrent < 1 {
-		concurrent = 1
+	key := pinKey(sub, forced)
+	if m, ok := prob.lookupComponent(fp, ci, key); ok {
+		return m.res, true, nil
 	}
-	return max(1, budget/concurrent)
+	var warm []float64
+	if !s.DisableWarmStart {
+		warm = prob.warmStart(fp, ci)
+	}
+	res, err = s.solveSystem(ctx, sub, forced, prob.Database(), warm)
+	if err != nil {
+		return nil, false, err
+	}
+	var vals []float64
+	if res.Status == milp.StatusOptimal && res.Repair != nil {
+		vals = solvedValues(sub, res.Repair)
+	}
+	prob.storeComponent(fp, ci, key, res, vals)
+	return res, false, nil
 }
 
 // solveSystem compiles and solves one system, escalating the big-M bound
@@ -356,19 +271,13 @@ func (s *MILPSolver) nodeWorkers(concurrent int) int {
 // (the solved values of a previous solve of the same system under other
 // pins) is turned into an exactness-preserving branch-and-bound cutoff
 // whenever it remains feasible under the current pins and M bound.
-// nodeWorkers is this solve's share of the branch-and-bound worker budget;
-// an explicit Options.Workers takes precedence.
-func (s *MILPSolver) solveSystem(ctx context.Context, sys *System, forced map[Item]float64, db *relational.Database, warm []float64, nodeWorkers int) (*Result, error) {
-	maxEsc := s.MaxEscalations
-	if maxEsc == 0 {
-		maxEsc = 3
-	}
+func (s *MILPSolver) solveSystem(ctx context.Context, sys *System, forced map[Item]float64, db *relational.Database, warm []float64) (*Result, error) {
 	opts := s.Options
 	if ctx.Done() != nil {
 		opts.Cancel = ctx.Err
 	}
 	if opts.Workers == 0 {
-		opts.Workers = nodeWorkers
+		opts.Workers = s.SolverWorkers
 	}
 	// Attach the branch-and-bound's per-worker spans and search events to
 	// the enclosing span (the component solve, typically). Observational
@@ -406,14 +315,14 @@ func (s *MILPSolver) solveSystem(ctx context.Context, sys *System, forced map[It
 		res.M = mBound
 		if sol.Status != milp.StatusOptimal {
 			// Infeasibility can be an artifact of a too-small M: escalate.
-			if sol.Status == milp.StatusInfeasible && attempt < maxEsc {
+			if sol.Status == milp.StatusInfeasible && attempt < maxEscalations {
 				mBound *= 32
 				res.Escalations++
 				continue
 			}
 			return res, nil
 		}
-		if comp.BoundBinding(sol.X) && attempt < maxEsc {
+		if comp.BoundBinding(sol.X) && attempt < maxEscalations {
 			mBound *= 32
 			res.Escalations++
 			continue

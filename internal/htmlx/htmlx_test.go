@@ -283,6 +283,24 @@ func TestInvalidSpanAttributesDefaultToOne(t *testing.T) {
 	}
 }
 
+// TestSpanBombClamped: a 52-byte document asking for five million columns
+// expands to the standard's 1000-column limit, not to one grid position
+// per requested column.
+func TestSpanBombClamped(t *testing.T) {
+	src := `<table><tr><td colspan="5000000">x</td></tr></table>`
+	if len(src) != 52 {
+		t.Fatalf("document is %d bytes, want 52", len(src))
+	}
+	grid := ParseTables(src)[0].Grid()
+	if len(grid) != 1 || len(grid[0]) != 1000 {
+		t.Fatalf("grid is %d rows, first of width %d; want 1 row of width 1000", len(grid), len(grid[0]))
+	}
+	c := ParseTables(`<table><tr><td rowspan="100000">x</td></tr></table>`)[0].Rows[0][0]
+	if c.RowSpan != 65534 {
+		t.Errorf("rowspan = %d, want 65534", c.RowSpan)
+	}
+}
+
 func TestTokenizeNeverPanicsProperty(t *testing.T) {
 	f := func(s string) bool {
 		_ = Tokenize(s)

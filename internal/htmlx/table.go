@@ -94,7 +94,7 @@ func ParseTables(src string) []*Table {
 						f.inRow = true
 					}
 					closeCell(f)
-					c := &Cell{RowSpan: intAttr(tok.Attrs, "rowspan", 1), ColSpan: intAttr(tok.Attrs, "colspan", 1), Header: tok.Name == "th"}
+					c := &Cell{RowSpan: spanAttr(tok.Attrs, "rowspan", maxRowSpan), ColSpan: spanAttr(tok.Attrs, "colspan", maxColSpan), Header: tok.Name == "th"}
 					f.cell = c
 					f.inCell = true
 				}
@@ -136,13 +136,22 @@ func ParseTables(src string) []*Table {
 	return tables
 }
 
-func intAttr(attrs map[string]string, name string, def int) int {
+// The HTML standard's span limits. Grid allocates one position per unit of
+// colspan, so an uncapped attribute lets a tiny document demand gigabytes.
+const (
+	maxColSpan = 1000
+	maxRowSpan = 65534
+)
+
+// spanAttr reads a span attribute: missing or invalid values (non-numeric
+// or below 1) mean 1, and values above limit are clamped to it.
+func spanAttr(attrs map[string]string, name string, limit int) int {
 	if v, ok := attrs[name]; ok {
 		if n, err := strconv.Atoi(strings.TrimSpace(v)); err == nil && n >= 1 {
-			return n
+			return min(n, limit)
 		}
 	}
-	return def
+	return 1
 }
 
 // CollapseSpace trims and collapses consecutive whitespace to single

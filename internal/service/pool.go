@@ -314,35 +314,57 @@ func PipelineRunner(m *Metrics) Runner { return PipelineRunnerWorkers(m, 0) }
 // worker budget, applied when a job spec does not set solver_workers.
 func PipelineRunnerWorkers(m *Metrics, solverWorkers int) Runner {
 	return func(ctx context.Context, spec JobSpec) (*ResultJSON, error) {
-		md, err := ResolveMetadata(spec)
+		p, err := newPipeline(spec, solverWorkers, m)
 		if err != nil {
 			return nil, err
 		}
-		workers := spec.SolverWorkers
-		if workers <= 0 {
-			workers = solverWorkers
-		}
-		solver, err := resolveSolver(spec.Solver, workers)
+		acq, err := p.AcquireContext(ctx, spec.Document)
 		if err != nil {
 			return nil, err
 		}
-		p := &dart.Pipeline{Metadata: md, Solver: solver}
-		if m != nil {
-			p.Observer = m
-		}
-		res, err := p.ProcessContext(ctx, spec.Document)
-		if err != nil {
-			if isIterLimit(err) {
-				return nil, Transient(err)
-			}
-			return nil, err
-		}
-		if m != nil {
-			m.Components(res.ComponentsSolved, res.ComponentsReused)
-			m.BBNodes(res.SolverNodes)
-		}
-		return EncodeResult(res), nil
+		return repairJob(ctx, p, acq, m)
 	}
+}
+
+// newPipeline resolves a spec's metadata and solver into a pipeline whose
+// stage latencies feed m (when non-nil). solverWorkers is the
+// branch-and-bound worker budget used when the spec sets none.
+func newPipeline(spec JobSpec, solverWorkers int, m *Metrics) (*dart.Pipeline, error) {
+	md, err := ResolveMetadata(spec)
+	if err != nil {
+		return nil, err
+	}
+	workers := spec.SolverWorkers
+	if workers <= 0 {
+		workers = solverWorkers
+	}
+	solver, err := resolveSolver(spec.Solver, workers)
+	if err != nil {
+		return nil, err
+	}
+	p := &dart.Pipeline{Metadata: md, Solver: solver}
+	if m != nil {
+		p.Observer = m
+	}
+	return p, nil
+}
+
+// repairJob runs the repairing module of one job, automatic or
+// validation session alike, and counts its solver work on m (when
+// non-nil). Solver iteration-limit failures come back Transient.
+func repairJob(ctx context.Context, p *dart.Pipeline, acq *dart.Acquisition, m *Metrics) (*ResultJSON, error) {
+	res, err := p.RepairContext(ctx, acq)
+	if err != nil {
+		if isIterLimit(err) {
+			return nil, Transient(err)
+		}
+		return nil, err
+	}
+	if m != nil {
+		m.Components(res.ComponentsSolved, res.ComponentsReused)
+		m.BBNodes(res.SolverNodes)
+	}
+	return EncodeResult(res), nil
 }
 
 // isIterLimit detects the solver's node/iteration budget exhaustion, the

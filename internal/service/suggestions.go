@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"dart"
 	"dart/internal/obs"
 	"dart/internal/repair"
 )
@@ -36,31 +35,17 @@ func (apiDecider) Decide(ctx context.Context, l *repair.Ledger, open []repair.Su
 // job's durable event history, so already-made decisions are never asked
 // twice.
 func (s *Server) runValidation(ctx context.Context, job *Job) (*ResultJSON, error) {
-	spec := job.Spec
-	md, err := ResolveMetadata(spec)
+	p, err := newPipeline(job.Spec, s.solverWorkers, s.metrics)
 	if err != nil {
 		return nil, err
 	}
-	workers := spec.SolverWorkers
-	if workers <= 0 {
-		workers = s.solverWorkers
-	}
-	solver, err := resolveSolver(spec.Solver, workers)
-	if err != nil {
-		return nil, err
-	}
-	p := &dart.Pipeline{Metadata: md, Solver: solver, Observer: s.metrics}
-	acq, err := p.AcquireContext(ctx, spec.Document)
+	acq, err := p.AcquireContext(ctx, job.Spec.Document)
 	if err != nil {
 		return nil, err
 	}
 	if acq.Consistent() {
 		// Nothing to validate; identical to the automatic path.
-		res, err := p.RepairContext(ctx, acq)
-		if err != nil {
-			return nil, err
-		}
-		return EncodeResult(res), nil
+		return repairJob(ctx, p, acq, s.metrics)
 	}
 	ledger := repair.Restore(s.queue.repairEventsOf(job))
 	// The observer is bound after Restore: replayed events are already
@@ -84,14 +69,7 @@ func (s *Server) runValidation(ctx context.Context, job *Job) (*ResultJSON, erro
 		ledger.Close()
 		s.queue.setLedger(job, nil)
 	}()
-	res, err := p.RepairContext(ctx, acq)
-	if err != nil {
-		if isIterLimit(err) {
-			return nil, Transient(err)
-		}
-		return nil, err
-	}
-	return EncodeResult(res), nil
+	return repairJob(ctx, p, acq, s.metrics)
 }
 
 // suggestionDecision is the body of POST /v1/jobs/{id}/suggestions/{sid}.

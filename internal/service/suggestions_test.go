@@ -240,6 +240,62 @@ func TestValidationSessionOverHTTP(t *testing.T) {
 	}
 }
 
+// scrapeMetrics fetches the /metrics exposition.
+func scrapeMetrics(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// TestValidationJobCountsSolverWork: a validation session worked through
+// the suggestions API feeds the solver counters exactly like an automatic
+// job does.
+func TestValidationJobCountsSolverWork(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	before := scrapeMetrics(t, ts.URL)
+	v, resp := postJob(t, ts.URL, JobSpec{Document: runningExampleErrorHTML(), Scenario: "cashbudget", Validate: true})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status = %d", resp.StatusCode)
+	}
+	// Reject the first proposal so the session re-solves at least once,
+	// then accept everything until it completes.
+	first := waitSuggestions(t, ts.URL, v.ID, func(sv suggestionsView) bool { return sv.Live && sv.Open >= 1 }).Suggestions[0]
+	if st, _ := decide(t, ts.URL, v.ID, first.ID, map[string]any{
+		"action": "reject", "seq": first.Seq, "actual_value": first.Old}); st != http.StatusOK {
+		t.Fatalf("reject = %d", st)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for sv := getSuggestions(t, ts.URL, v.ID); sv.Live; sv = getSuggestions(t, ts.URL, v.ID) {
+		if time.Now().After(deadline) {
+			t.Fatal("session did not complete")
+		}
+		for _, sg := range sv.Suggestions {
+			if sg.State == repair.StateProposed {
+				decide(t, ts.URL, v.ID, sg.ID, map[string]any{"action": "accept", "seq": sg.Seq})
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	got := pollJob(t, ts.URL, v.ID)
+	if got.State != StateSucceeded {
+		t.Fatalf("state = %s, error = %q", got.State, got.Error)
+	}
+	after := scrapeMetrics(t, ts.URL)
+	for _, name := range []string{"dartd_components_solved_total", "dart_bb_nodes_total"} {
+		if b, a := metricValue(t, before, name), metricValue(t, after, name); a <= b {
+			t.Errorf("%s = %v after the validation job, %v before; want it to rise", name, a, b)
+		}
+	}
+}
+
 // TestSuggestionEndpointErrors pins the failure surface: unknown jobs 404,
 // decisions without a live session 409, malformed bodies 400.
 func TestSuggestionEndpointErrors(t *testing.T) {

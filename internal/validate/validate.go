@@ -145,10 +145,9 @@ func (o *InteractiveOperator) inputClosed() error {
 // open suggestion is presented in review order; the verdict is applied to
 // the ledger only after the context is re-checked, so a decision arriving
 // after cancellation is discarded rather than partially applied.
+// Decisions are recorded under the ledger's default identity, "operator".
 type OperatorDecider struct {
 	Operator Operator
-	// Who is recorded as the deciding identity (default "operator").
-	Who string
 }
 
 // Decide implements repair.Decider.
@@ -171,9 +170,9 @@ func (d *OperatorDecider) Decide(ctx context.Context, l *repair.Ledger, open []r
 			return err
 		}
 		if dec.Accepted {
-			_, err = l.Accept(sg.ID, d.Who, sg.Seq)
+			_, err = l.Accept(sg.ID, "", sg.Seq)
 		} else {
-			_, err = l.Reject(sg.ID, dec.ActualValue, d.Who, sg.Seq)
+			_, err = l.Reject(sg.ID, dec.ActualValue, "", sg.Seq)
 		}
 		if err != nil {
 			return fmt.Errorf("validate: recording decision on %s: %w", &sg, err)
@@ -201,6 +200,9 @@ func suggestionUpdate(sg repair.Suggestion) (core.Update, error) {
 	return core.Update{Item: sg.Item(), Old: oldV, New: newV}, nil
 }
 
+// maxIterations caps the repair computations of one Session.Run.
+const maxIterations = 100
+
 // Session drives one document's validation loop.
 type Session struct {
 	DB          *relational.Database
@@ -216,9 +218,6 @@ type Session struct {
 	// path: a ledger restored from a journal re-proposes its open queue
 	// idempotently and keeps its decision history and counters.
 	Ledger *repair.Ledger
-	// Who is the audit identity recorded for Operator decisions (default
-	// "operator"); ignored with a custom Decider.
-	Who string
 	// Problem, when non-nil, supplies an already-prepared repair problem
 	// for (DB, Constraints); Run prepares one otherwise. Sharing a problem
 	// across sessions of the same database additionally shares the
@@ -241,8 +240,6 @@ type Session struct {
 	// before re-solving (the paper notes re-starting "after validating only
 	// some of the suggested updates" as a designer choice).
 	ReviewPerIteration int
-	// MaxIterations caps the loop (default 100).
-	MaxIterations int
 	// AutoAcceptReliable accepts without operator review any proposed
 	// update whose item takes the same value in every card-minimal repair
 	// (the consistent answer of [16]) — an extension beyond the paper that
@@ -294,10 +291,6 @@ func (s *Session) observe(stage string, start time.Time) {
 
 // Run executes the validation loop to acceptance.
 func (s *Session) Run() (*Outcome, error) {
-	maxIters := s.MaxIterations
-	if maxIters == 0 {
-		maxIters = 100
-	}
 	ctx := s.Context
 	if ctx == nil {
 		ctx = context.Background()
@@ -311,7 +304,7 @@ func (s *Session) Run() (*Outcome, error) {
 		if s.Operator == nil {
 			return nil, errors.New("validate: session needs an Operator or a Decider")
 		}
-		decider = &OperatorDecider{Operator: s.Operator, Who: s.Who}
+		decider = &OperatorDecider{Operator: s.Operator}
 	}
 	// A restored ledger resumes its round numbering so re-proposed
 	// suggestions match their journaled iteration fields.
@@ -339,7 +332,7 @@ func (s *Session) Run() (*Outcome, error) {
 		return 0
 	}
 
-	for out.Iterations < maxIters {
+	for out.Iterations < maxIterations {
 		out.Iterations++
 		done, res, err := s.iterate(ctx, prob, ledger, decider, out, occOf)
 		if err != nil {
@@ -349,7 +342,7 @@ func (s *Session) Run() (*Outcome, error) {
 			return s.finish(out, prob, statsBefore, res, ledger)
 		}
 	}
-	return nil, fmt.Errorf("validate: no accepted repair within %d iterations", maxIters)
+	return nil, fmt.Errorf("validate: no accepted repair within %d iterations", maxIterations)
 }
 
 // iterate runs one solve-review round of the loop. It reports done=true

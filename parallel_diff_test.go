@@ -89,32 +89,24 @@ func TestParallelRepairMatchesSequentialScenarios(t *testing.T) {
 }
 
 // TestParallelSessionMatchesSequential runs multi-iteration oracle
-// validation sessions over the differential corpus at several worker
-// configurations (node-level, component-level, and both): every
-// configuration must be byte-identical to the sequential session,
-// including operator decision counts, which depend on every intermediate
-// repair.
+// validation sessions over the differential corpus with a 4-worker
+// branch-and-bound budget: every session must be byte-identical to the
+// sequential one, including operator decision counts, which depend on
+// every intermediate repair.
 func TestParallelSessionMatchesSequential(t *testing.T) {
 	for _, doc := range diffCorpus() {
 		t.Run(doc.name, func(t *testing.T) {
-			run := func(componentWorkers, solverWorkers int) string {
+			run := func(solverWorkers int) string {
 				return runDiffSession(&validate.Session{
-					DB:          doc.db,
-					Constraints: runningex.Constraints(),
-					Solver: &core.MILPSolver{
-						Workers:       componentWorkers,
-						SolverWorkers: solverWorkers,
-					},
+					DB:                 doc.db,
+					Constraints:        runningex.Constraints(),
+					Solver:             &core.MILPSolver{SolverWorkers: solverWorkers},
 					Operator:           &validate.OracleOperator{Truth: doc.truth},
 					ReviewPerIteration: 1,
 				})
 			}
-			seq := run(1, 1)
-			for _, cfg := range [][2]int{{1, 4}, {4, 1}, {2, 4}} {
-				if par := run(cfg[0], cfg[1]); par != seq {
-					t.Errorf("Workers=%d SolverWorkers=%d diverged:\n--- sequential ---\n%s\n--- parallel ---\n%s",
-						cfg[0], cfg[1], seq, par)
-				}
+			if seq, par := run(1), run(4); par != seq {
+				t.Errorf("SolverWorkers=4 diverged:\n--- sequential ---\n%s\n--- parallel ---\n%s", seq, par)
 			}
 		})
 	}
