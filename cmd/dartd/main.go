@@ -22,7 +22,7 @@
 //
 //	POST /v1/jobs             {"document": "...", "scenario": "cashbudget"} -> 202 {"id": "job-000001", ...}
 //	GET  /v1/jobs/{id}        job status; includes the repair result when done
-//	GET  /v1/jobs/{id}/trace  the job's finished span tree (tracing only)
+//	GET  /v1/jobs/{id}/trace  the job's finished span tree
 //	GET  /v1/jobs             list all jobs
 //	GET  /v1/jobs/{id}/suggestions        a validate:true job's suggestion queue + audit history
 //	POST /v1/jobs/{id}/suggestions/{sid}  decide one suggestion: {"action": "accept"|"reject"|"revert", "seq": N, ...}
@@ -31,16 +31,18 @@
 //	GET  /v1/jobs/{id}/progress  live per-job progress aggregate (-event-buffer > 0)
 //	GET  /v1/events           SSE firehose; ?kind=job,queue,solver,component,span,ledger filters,
 //	                          ?job= filters, ?after_seq= resumes, ?replay=only closes after the ring
-//	GET  /debug/traces        the N slowest recent traces (tracing only)
+//	GET  /debug/traces        the N slowest recent traces
 //	GET  /debug/pprof/        runtime profiles (-pprof only)
 //	GET  /healthz             liveness (503 while draining)
 //	GET  /readyz              readiness (store replayed, pool started, queue accepting)
 //	GET  /metrics             Prometheus text format
 //
-// Live events need -event-buffer > 0; solver search progress and span
-// completions additionally need tracing on (-trace-buffer > 0), because a
-// job's trace is the conduit that carries them onto the bus. cmd/dartstat
-// renders the firehose as a live console; cmd/darttail pipes it as JSONL.
+// dartd always traces: every job's span tree is retained in a ring of
+// -trace-buffer traces (at least 1) and is the one source of the stage
+// latency histograms on /metrics. Live events need -event-buffer > 0; a
+// job's trace carries its solver search progress and span completions
+// onto the bus. cmd/dartstat renders the firehose as a live console;
+// cmd/darttail pipes it as JSONL.
 //
 // SIGINT/SIGTERM drains gracefully: new submissions get 503, in-flight and
 // queued jobs finish (bounded by -drain-timeout), then the process exits.
@@ -79,7 +81,7 @@ func run() error {
 		attempts     = flag.Int("attempts", 3, "max runs per job (retries are attempts-1)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 		resultCache  = flag.Int("result-cache", 256, "serve repeated (document, metadata, solver) submissions from an LRU of this many results; 0 disables")
-		traceBuffer  = flag.Int("trace-buffer", 256, "retain the last N job traces for /v1/jobs/{id}/trace and /debug/traces; 0 disables tracing")
+		traceBuffer  = flag.Int("trace-buffer", 256, "retain the last N job traces for /v1/jobs/{id}/trace and /debug/traces (at least 1)")
 		traceExport  = flag.String("trace-export", "", "append every finished trace to this JSONL file (one span per line)")
 		eventBuffer  = flag.Int("event-buffer", 1024, "retain the last N telemetry events for SSE replay on /v1/events and /v1/jobs/{id}/events; 0 disables live events")
 		enablePprof  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -95,21 +97,19 @@ func run() error {
 	}
 	logger := obs.NewLogger(os.Stderr, *logFormat)
 
-	var tracer *obs.Tracer
-	var exportFile *os.File
-	if *traceBuffer > 0 || *traceExport != "" {
-		cfg := obs.Config{Capacity: *traceBuffer}
-		if *traceExport != "" {
-			f, err := os.OpenFile(*traceExport, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return fmt.Errorf("opening trace export: %w", err)
-			}
-			exportFile = f
-			defer exportFile.Close()
-			cfg.Export = f
-		}
-		tracer = obs.New(cfg)
+	if *traceBuffer < 1 {
+		return fmt.Errorf("-trace-buffer must be at least 1, got %d", *traceBuffer)
 	}
+	traceCfg := obs.Config{Capacity: *traceBuffer}
+	if *traceExport != "" {
+		f, err := os.OpenFile(*traceExport, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return fmt.Errorf("opening trace export: %w", err)
+		}
+		defer f.Close()
+		traceCfg.Export = f
+	}
+	tracer := obs.New(traceCfg)
 
 	var bus *obs.Bus
 	if *eventBuffer > 0 {
@@ -156,7 +156,7 @@ func run() error {
 	errCh := make(chan error, 1)
 	go func() {
 		logger.Info("listening", "addr", *addr, "version", service.Version,
-			"tracing", tracer != nil, "events", bus != nil, "pprof", *enablePprof)
+			"events", bus != nil, "pprof", *enablePprof)
 		if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			errCh <- err
 		}
@@ -180,10 +180,8 @@ func run() error {
 	if poolErr != nil {
 		return fmt.Errorf("drain incomplete: %w", poolErr)
 	}
-	if tracer != nil {
-		if err := tracer.ExportErr(); err != nil {
-			logger.Error("trace export", "error", err.Error())
-		}
+	if err := tracer.ExportErr(); err != nil {
+		logger.Error("trace export", "error", err.Error())
 	}
 	logger.Info("drained cleanly")
 	return nil

@@ -10,8 +10,7 @@
 //
 // -once renders a single frame (from the replay ring and one metrics
 // scrape) without clearing the screen and exits — the scripting mode.
-// Live events need dartd started with -event-buffer > 0; solver rows
-// additionally need -trace-buffer > 0.
+// Live events need dartd started with -event-buffer > 0.
 package main
 
 import (

@@ -25,7 +25,6 @@ package dart
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"dart/internal/aggrcons"
 	"dart/internal/convert"
@@ -109,41 +108,6 @@ type Pipeline struct {
 	// ReviewPerIteration restarts the repair computation after this many
 	// validations (0 = review whole repairs).
 	ReviewPerIteration int
-	// Observer, when non-nil, receives the latency of every pipeline stage
-	// ("convert", "wrapper", "dbgen", "check", "solver"); the dartd service
-	// feeds its histograms through it.
-	Observer StageObserver
-}
-
-// StageObserver receives per-stage pipeline latencies. It predates the
-// span tracer (internal/obs) and survives as a shim: stages are now traced
-// as spans named "stage.<name>" on the context's trace, and the observer is
-// fed the same interval, so existing histogram plumbing keeps working
-// unchanged.
-type StageObserver interface {
-	// ObserveStage records that the named stage took d.
-	ObserveStage(stage string, d time.Duration)
-}
-
-// stage begins one pipeline-stage measurement: a "stage.<name>" span as a
-// child of ctx's trace span (when tracing is on) plus the StageObserver
-// shim. It returns a context carrying the stage span (so nested work —
-// component solves, validation iterations — attaches beneath it) and a func
-// ending both the span and the observer interval. Without a span in ctx the
-// context is returned unchanged and only the shim fires.
-func (p *Pipeline) stage(ctx context.Context, name string) (context.Context, func()) {
-	start := time.Now()
-	var sp *obs.Span
-	if parent := obs.FromContext(ctx); parent != nil {
-		sp = parent.StartChild("stage." + name)
-		ctx = obs.ContextWithSpan(ctx, sp)
-	}
-	return ctx, func() {
-		sp.End()
-		if p.Observer != nil {
-			p.Observer.ObserveStage(name, time.Since(start))
-		}
-	}
 }
 
 // Acquisition is the output of the acquisition and extraction module.
@@ -203,31 +167,35 @@ func (p *Pipeline) AcquireContext(ctx context.Context, src string) (*Acquisition
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	_, endConvert := p.stage(ctx, "convert")
+	// Each stage is one "stage.<name>" span under ctx's span (nil, and
+	// free, when ctx carries none); the stage spans are the pipeline's only
+	// timing source.
+	parent := obs.FromContext(ctx)
+	sp := parent.StartChild("stage.convert")
 	html, err := convert.ToHTML(src, convert.Detect(src))
-	endConvert()
+	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("dart: format conversion: %w", err)
 	}
 	w := p.Metadata.NewWrapper()
-	_, endWrapper := p.stage(ctx, "wrapper")
+	sp = parent.StartChild("stage.wrapper")
 	instances, skipped, err := w.Extract(html)
-	endWrapper()
+	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("dart: extraction: %w", err)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	_, endDbgen := p.stage(ctx, "dbgen")
+	sp = parent.StartChild("stage.dbgen")
 	db, rowErrs, err := p.Metadata.NewGenerator().Generate(instances)
-	endDbgen()
+	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("dart: database generation: %w", err)
 	}
-	_, endCheck := p.stage(ctx, "check")
+	sp = parent.StartChild("stage.check")
 	viols, err := aggrcons.Check(db, p.Metadata.Constraints(), 1e-9)
-	endCheck()
+	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("dart: consistency check: %w", err)
 	}
@@ -258,9 +226,9 @@ func (p *Pipeline) Repair(acq *Acquisition) (*Result, error) {
 //
 // The repair problem is prepared (grounded and decomposed) exactly once;
 // the solve — and, with an Operator, every iteration of the validation
-// loop — re-solves the prepared problem. The observer sees the one-time
-// "prepare" stage, a "resolve" stage per repair computation, and the
-// aggregate "solver" stage covering the whole repairing module.
+// loop — re-solves the prepared problem. Under ctx's span the repairing
+// module is one "stage.solver" span holding one "stage.prepare" span and
+// a "stage.resolve" span per repair computation.
 func (p *Pipeline) RepairContext(ctx context.Context, acq *Acquisition) (*Result, error) {
 	res := &Result{Acquisition: acq}
 	solver := p.Solver
@@ -272,23 +240,24 @@ func (p *Pipeline) RepairContext(ctx context.Context, acq *Acquisition) (*Result
 		res.Repaired = acq.Database
 		return res, nil
 	}
+	solverSpan := obs.FromContext(ctx).StartChild("stage.solver")
+	sctx := obs.ContextWithSpan(ctx, solverSpan)
+	prepSpan := solverSpan.StartChild("stage.prepare")
+	prob, err := core.Prepare(acq.Database, p.Metadata.Constraints())
+	if prepSpan != nil && err == nil {
+		prepSpan.SetInt("vars", prob.N())
+		prepSpan.SetInt("rows", len(prob.System().Rows))
+	}
+	prepSpan.End()
+	if err != nil {
+		solverSpan.End()
+		return nil, fmt.Errorf("dart: repair: %w", err)
+	}
 	if p.Operator == nil && p.Decider == nil {
-		sctx, endSolver := p.stage(ctx, "solver")
-		pctx, endPrepare := p.stage(sctx, "prepare")
-		prob, err := core.Prepare(acq.Database, p.Metadata.Constraints())
-		if sp := obs.FromContext(pctx); sp != nil && err == nil {
-			sp.SetInt("vars", prob.N())
-			sp.SetInt("rows", len(prob.System().Rows))
-		}
-		endPrepare()
-		if err != nil {
-			endSolver()
-			return nil, fmt.Errorf("dart: repair: %w", err)
-		}
-		rctx, endResolve := p.stage(sctx, "resolve")
-		r, err := solver.SolveProblem(rctx, prob, nil)
-		endResolve()
-		endSolver()
+		resolveSpan := solverSpan.StartChild("stage.resolve")
+		r, err := solver.SolveProblem(obs.ContextWithSpan(sctx, resolveSpan), prob, nil)
+		resolveSpan.End()
+		solverSpan.End()
 		if err != nil {
 			return nil, fmt.Errorf("dart: repair: %w", err)
 		}
@@ -306,7 +275,6 @@ func (p *Pipeline) RepairContext(ctx context.Context, acq *Acquisition) (*Result
 		res.SolverNodes = r.Nodes
 		return res, nil
 	}
-	sctx, endSolver := p.stage(ctx, "solver")
 	session := &validate.Session{
 		DB:                 acq.Database,
 		Constraints:        p.Metadata.Constraints(),
@@ -314,16 +282,12 @@ func (p *Pipeline) RepairContext(ctx context.Context, acq *Acquisition) (*Result
 		Operator:           p.Operator,
 		Decider:            p.Decider,
 		Ledger:             p.Ledger,
+		Problem:            prob,
 		Context:            sctx,
 		ReviewPerIteration: p.ReviewPerIteration,
 	}
-	if p.Observer != nil {
-		session.Observe = func(stage string, d time.Duration) {
-			p.Observer.ObserveStage(stage, d)
-		}
-	}
 	out, err := session.Run()
-	endSolver()
+	solverSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("dart: validation loop: %w", err)
 	}

@@ -354,6 +354,19 @@ func (s *Span) SpanID() string {
 	return s.id
 }
 
+// Ended returns the records of the spans of s's trace that have ended so
+// far, the root included once it has ended. It reads the trace itself, not
+// the tracer's ring buffer, so it sees every span even after the trace is
+// evicted. A nil receiver returns nil.
+func (s *Span) Ended() []*SpanRecord {
+	if s == nil {
+		return nil
+	}
+	s.trace.mu.Lock()
+	defer s.trace.mu.Unlock()
+	return append([]*SpanRecord(nil), s.trace.spans...)
+}
+
 // setAttr appends one annotation (last write wins at record-build time).
 func (s *Span) setAttr(key string, v any) {
 	s.mu.Lock()

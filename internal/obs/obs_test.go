@@ -40,9 +40,15 @@ func TestSpanLifecycle(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Fatalf("trace finished before root ended: Len = %d", tr.Len())
 	}
+	if n := len(root.Ended()); n != 2 {
+		t.Fatalf("Ended before root end has %d spans, want 2", n)
+	}
 	root.End()
 	if tr.Len() != 1 {
 		t.Fatalf("Len = %d after root end, want 1", tr.Len())
+	}
+	if n := len(grand.Ended()); n != 3 {
+		t.Fatalf("Ended after root end has %d spans, want 3", n)
 	}
 
 	got, ok := tr.Trace(root.TraceID())
@@ -93,9 +99,11 @@ func TestSpanLifecycle(t *testing.T) {
 func TestRingBufferEviction(t *testing.T) {
 	tr := New(Config{Capacity: 2, Now: fakeClock()})
 	var ids []string
+	var roots []*Span
 	for i := 0; i < 3; i++ {
 		root := tr.StartTrace(fmt.Sprintf("t%d", i))
 		ids = append(ids, root.TraceID())
+		roots = append(roots, root)
 		root.End()
 	}
 	if tr.Len() != 2 {
@@ -103,6 +111,9 @@ func TestRingBufferEviction(t *testing.T) {
 	}
 	if _, ok := tr.Trace(ids[0]); ok {
 		t.Error("oldest trace survived eviction")
+	}
+	if ended := roots[0].Ended(); len(ended) != 1 || ended[0].Name != "t0" {
+		t.Errorf("Ended on the evicted trace = %v, want its root t0", ended)
 	}
 	for _, id := range ids[1:] {
 		if _, ok := tr.Trace(id); !ok {
@@ -154,8 +165,8 @@ func TestNoopZeroAllocs(t *testing.T) {
 			t.Fatal("ContextWithSpan(nil span) must return ctx unchanged")
 		}
 		child.End()
-		if child.TraceID() != "" || child.SpanID() != "" {
-			t.Fatal("nil span must have empty IDs")
+		if child.TraceID() != "" || child.SpanID() != "" || child.Ended() != nil {
+			t.Fatal("nil span must have empty IDs and no ended spans")
 		}
 	})
 	if allocs > 0 {

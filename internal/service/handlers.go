@@ -173,13 +173,8 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJobTrace serves one job's span tree. 404 covers both an unknown job
-// and a trace already evicted from the ring buffer; 501 tells clients the
-// server runs without tracing at all.
+// and a trace already evicted from the ring buffer.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	if s.tracer == nil {
-		writeError(w, http.StatusNotImplemented, "tracing is disabled (start dartd with -trace-buffer > 0)")
-		return
-	}
 	id := r.PathValue("id")
 	view, ok := s.queue.Get(id)
 	if !ok {
@@ -218,10 +213,6 @@ type traceSummary struct {
 
 // handleDebugTraces lists the N slowest recent traces (default 10).
 func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
-	if s.tracer == nil {
-		writeError(w, http.StatusNotImplemented, "tracing is disabled (start dartd with -trace-buffer > 0)")
-		return
-	}
 	n := 10
 	if q := r.URL.Query().Get("n"); q != "" {
 		v, err := strconv.Atoi(q)

@@ -6,9 +6,11 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
+	"dart/internal/obs"
 	"dart/internal/repair"
 	"dart/internal/store"
 )
@@ -73,8 +75,8 @@ func (h *histogram) write(w io.Writer, name, labels string) {
 }
 
 // Metrics is the service's in-process metrics registry: job counters by
-// terminal state, per-stage pipeline latency histograms (it implements
-// dart.StageObserver), whole-job latency, queue depth, retries, violations
+// terminal state, per-stage pipeline latency histograms (folded from each
+// job's spans), whole-job latency, queue depth, retries, violations
 // found, and repair cardinality. Exposed by GET /metrics in Prometheus text
 // format.
 type Metrics struct {
@@ -143,28 +145,35 @@ func NewMetrics() *Metrics {
 	}
 }
 
-// ObserveStage implements dart.StageObserver: it records one pipeline-stage
-// latency ("convert", "wrapper", "dbgen", "check", "solver"). The repair
-// module's problem-preparation and per-iteration re-solve timings
-// ("prepare", "resolve") go to their own histogram families so the generic
-// per-stage family keeps one observation per job stage.
-func (m *Metrics) ObserveStage(stage string, d time.Duration) {
+// FoldSpans records the stage latencies of one job from its ended spans:
+// "stage.prepare" and "stage.resolve" (the repair module's one-time problem
+// preparation and per-iteration re-solves) feed their own histogram
+// families, so the generic per-stage family keeps one observation per job
+// stage; any other "stage.<x>" span feeds dartd_stage_seconds{stage="x"};
+// every other span is ignored.
+func (m *Metrics) FoldSpans(recs []*obs.SpanRecord) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	switch stage {
-	case "prepare":
-		m.prepareSeconds.observe(d.Seconds())
-		return
-	case "resolve":
-		m.resolveSeconds.observe(d.Seconds())
-		return
+	for _, rec := range recs {
+		stage, ok := strings.CutPrefix(rec.Name, "stage.")
+		if !ok {
+			continue
+		}
+		seconds := time.Duration(rec.DurationNS).Seconds()
+		switch stage {
+		case "prepare":
+			m.prepareSeconds.observe(seconds)
+		case "resolve":
+			m.resolveSeconds.observe(seconds)
+		default:
+			h := m.stages[stage]
+			if h == nil {
+				h = newHistogram()
+				m.stages[stage] = h
+			}
+			h.observe(seconds)
+		}
 	}
-	h := m.stages[stage]
-	if h == nil {
-		h = newHistogram()
-		m.stages[stage] = h
-	}
-	h.observe(d.Seconds())
 }
 
 // Components counts component-level solver work of one finished pipeline

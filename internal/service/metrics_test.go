@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"dart/internal/obs"
 	"dart/internal/repair"
 )
 
@@ -90,10 +91,13 @@ func TestMetricsGoldenExposition(t *testing.T) {
 	m.Retry()
 	m.QueueWait(3 * time.Millisecond)
 	m.QueueWait(40 * time.Millisecond)
-	m.ObserveStage(`odd"stage`, 10*time.Millisecond) // label escaping
-	m.ObserveStage("solver", 100*time.Millisecond)
-	m.ObserveStage("prepare", 5*time.Millisecond)
-	m.ObserveStage("resolve", 7*time.Millisecond)
+	m.FoldSpans([]*obs.SpanRecord{
+		{Name: `stage.odd"stage`, DurationNS: int64(10 * time.Millisecond)}, // label escaping
+		{Name: "stage.solver", DurationNS: int64(100 * time.Millisecond)},
+		{Name: "stage.prepare", DurationNS: int64(5 * time.Millisecond)},
+		{Name: "stage.resolve", DurationNS: int64(7 * time.Millisecond)},
+		{Name: "repair.component", DurationNS: int64(time.Second)}, // not a stage: ignored
+	})
 	m.Components(3, 1)
 	m.BBNodes(17)
 	m.SpecRejected()
@@ -157,5 +161,44 @@ func TestQueueWaitHistogramFedOncePerJob(t *testing.T) {
 	defer m.mu.Unlock()
 	if m.queueWait.count != 1 {
 		t.Fatalf("queue-wait observations = %d after 3 attempts, want 1", m.queueWait.count)
+	}
+}
+
+// TestJobCountedBeforeTerminal: a job must be in /metrics by the time it
+// turns terminal, so a client that saw it finish reads counts that include
+// it. The runner blocks until the test holds the metrics lock; while the
+// lock is held the job must stay non-terminal.
+func TestJobCountedBeforeTerminal(t *testing.T) {
+	started := make(chan struct{})
+	release := make(chan struct{})
+	q, p, m := startPool(t, 1, nil, func(context.Context, JobSpec) (*ResultJSON, error) {
+		close(started)
+		<-release
+		return &ResultJSON{}, nil
+	})
+	v, err := q.Submit(JobSpec{Document: "x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	m.mu.Lock()
+	close(release)
+	for deadline := time.Now().Add(50 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if got, _ := q.Get(v.ID); got.State.Terminal() {
+			m.mu.Unlock()
+			t.Fatalf("job %s turned %s while the metrics lock was held, before it was counted", v.ID, got.State)
+		}
+	}
+	m.mu.Unlock()
+	waitTerminal(t, q, v.ID)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := p.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.jobSeconds.count != 1 {
+		t.Fatalf("job-seconds observations = %d, want 1", m.jobSeconds.count)
 	}
 }

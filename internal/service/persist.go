@@ -87,7 +87,9 @@ func (q *Queue) persistLocked(rec *store.Record) {
 
 // appendSubmitLocked durably records a new job before it is exposed to
 // workers; unlike the other appends, failure here is fatal to the
-// submission (the caller rolls back).
+// submission (the caller rolls back). It never snapshots: the job is not
+// registered yet, so a snapshot would omit it and truncate the log that
+// holds its submit frame. Submit snapshots once the job is registered.
 func (q *Queue) appendSubmitLocked(job *Job) error {
 	if q.store == nil {
 		return nil
@@ -96,17 +98,14 @@ func (q *Queue) appendSubmitLocked(job *Job) error {
 	if err != nil {
 		return err
 	}
-	if _, err := q.store.Append(&store.Record{
+	_, err = q.store.Append(&store.Record{
 		Type:     store.RecSubmit,
 		UnixNano: job.SubmittedAt.UnixNano(),
 		JobID:    job.ID,
 		State:    string(StateQueued),
 		Blob:     spec,
-	}); err != nil {
-		return err
-	}
-	q.maybeSnapshotLocked()
-	return nil
+	})
+	return err
 }
 
 // appendTransitionLocked records the job's current state.

@@ -69,7 +69,8 @@ type Pool struct {
 	Backoff time.Duration
 	// Tracer, when non-nil, records one trace per job: a root "job" span
 	// with every pipeline stage, solved component, and validation iteration
-	// beneath it. Nil disables tracing at zero cost.
+	// beneath it. The job's "stage.*" spans are the only source of the
+	// stage latency histograms. Nil disables tracing and those histograms.
 	Tracer *obs.Tracer
 	// Bus, when non-nil (and with a Tracer configured), binds each job's
 	// trace to the live telemetry bus, so solver search progress, component
@@ -221,21 +222,23 @@ func (p *Pool) runJob(job *Job) {
 	default:
 		state = StateFailed
 	}
-	p.Queue.finish(job, state, res, err)
+	// Metrics first: once the job is terminal a client may read /metrics
+	// and must find the job counted. Every attempt's stage spans have
+	// ended by now, so retried stages count once per attempt.
 	if p.Metrics != nil {
+		p.Metrics.FoldSpans(span.Ended())
 		p.Metrics.JobFinished(state, time.Since(start), res)
 	}
+	p.Queue.finish(job, state, res, err)
 	span.SetStr("state", string(state))
 	span.SetInt("attempts", attempts)
 	if err != nil {
 		span.SetStr("error", err.Error())
 	}
 	span.End()
-	if span != nil && p.Tracer != nil {
+	if span != nil {
 		// Audit frame correlating the durable history with trace output.
-		if tr, ok := p.Tracer.Trace(span.TraceID()); ok {
-			p.Queue.noteSpansFlushed(job, span.TraceID(), len(tr.Spans))
-		}
+		p.Queue.noteSpansFlushed(job, span.TraceID(), len(span.Ended()))
 	}
 	if p.Logger != nil {
 		l := p.Logger.With("job_id", job.ID, "state", string(state),
@@ -314,7 +317,7 @@ func PipelineRunner(m *Metrics) Runner { return PipelineRunnerWorkers(m, 0) }
 // worker budget, applied when a job spec does not set solver_workers.
 func PipelineRunnerWorkers(m *Metrics, solverWorkers int) Runner {
 	return func(ctx context.Context, spec JobSpec) (*ResultJSON, error) {
-		p, err := newPipeline(spec, solverWorkers, m)
+		p, err := newPipeline(spec, solverWorkers)
 		if err != nil {
 			return nil, err
 		}
@@ -326,10 +329,10 @@ func PipelineRunnerWorkers(m *Metrics, solverWorkers int) Runner {
 	}
 }
 
-// newPipeline resolves a spec's metadata and solver into a pipeline whose
-// stage latencies feed m (when non-nil). solverWorkers is the
-// branch-and-bound worker budget used when the spec sets none.
-func newPipeline(spec JobSpec, solverWorkers int, m *Metrics) (*dart.Pipeline, error) {
+// newPipeline resolves a spec's metadata and solver into a pipeline.
+// solverWorkers is the branch-and-bound worker budget used when the spec
+// sets none.
+func newPipeline(spec JobSpec, solverWorkers int) (*dart.Pipeline, error) {
 	md, err := ResolveMetadata(spec)
 	if err != nil {
 		return nil, err
@@ -342,11 +345,7 @@ func newPipeline(spec JobSpec, solverWorkers int, m *Metrics) (*dart.Pipeline, e
 	if err != nil {
 		return nil, err
 	}
-	p := &dart.Pipeline{Metadata: md, Solver: solver}
-	if m != nil {
-		p.Observer = m
-	}
-	return p, nil
+	return &dart.Pipeline{Metadata: md, Solver: solver}, nil
 }
 
 // repairJob runs the repairing module of one job, automatic or

@@ -67,7 +67,8 @@ type Job struct {
 	FinishedAt  time.Time
 	Error       string
 	Result      *ResultJSON
-	// TraceID links the job to its trace (empty when tracing is off).
+	// TraceID links the job to its trace (empty until a worker starts it,
+	// or when the pool runs without a tracer).
 	TraceID string
 	// Ledger is the live suggestion ledger of a running validation session
 	// (nil otherwise); suggestion handlers decide against it.
@@ -173,6 +174,7 @@ func (q *Queue) Submit(spec JobSpec) (JobView, error) {
 	q.ch <- job
 	q.jobs[job.ID] = job
 	q.order = append(q.order, job.ID)
+	q.maybeSnapshotLocked()
 	q.publishJobLocked(job)
 	return viewLocked(job, false), nil
 }

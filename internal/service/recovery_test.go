@@ -253,6 +253,62 @@ func TestRecoveredIDsDoNotCollide(t *testing.T) {
 	}
 }
 
+// TestSnapshotOnSubmitKeepsJob: when a job's submit frame is the append
+// that triggers a snapshot, the snapshot must contain the job. A snapshot
+// taken before the job is registered omits it and truncates the log that
+// held its submit frame, losing an accepted job.
+func TestSnapshotOnSubmitKeepsJob(t *testing.T) {
+	for _, bk := range []struct {
+		name string
+		// open returns the store and a reopen func simulating a restart.
+		open func(t *testing.T) (store.JobStore, func() store.JobStore)
+	}{
+		{"mem", func(t *testing.T) (store.JobStore, func() store.JobStore) {
+			m := store.NewMem()
+			return m, func() store.JobStore { return m }
+		}},
+		{"wal", func(t *testing.T) (store.JobStore, func() store.JobStore) {
+			dir := t.TempDir()
+			open := func() *store.WAL {
+				w, err := store.OpenWAL(dir, store.WALOptions{SyncEveryAppend: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return w
+			}
+			w := open()
+			return w, func() store.JobStore {
+				w.Close()
+				w2 := open()
+				t.Cleanup(func() { w2.Close() })
+				return w2
+			}
+		}},
+	} {
+		t.Run(bk.name, func(t *testing.T) {
+			st, reopen := bk.open(t)
+			srv, err := New(Config{Store: st, StoreSnapshotEvery: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := srv.Queue().Submit(JobSpec{Document: "x"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, rs, err := RecoverQueue(0, reopen(), 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rs.Requeued != 1 {
+				t.Fatalf("recovery = %+v, want the submitted job requeued", rs)
+			}
+			if got, ok := q.Get(v.ID); !ok || got.State != StateQueued {
+				t.Fatalf("job %s after recovery: found=%v state=%s, want queued", v.ID, ok, got.State)
+			}
+		})
+	}
+}
+
 // fakeStore counts interface calls; the drain test uses it to pin the
 // shutdown-flush contract without touching disk.
 type fakeStore struct {

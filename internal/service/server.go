@@ -36,16 +36,16 @@ type Config struct {
 	// many finished results, with hit/miss counters in /metrics. 0
 	// disables caching (every submission runs the pipeline).
 	ResultCacheSize int
-	// Tracer, when non-nil, records one span tree per job and serves it on
-	// GET /v1/jobs/{id}/trace and GET /debug/traces. Nil disables tracing.
+	// Tracer records one span tree per job, serves it on
+	// GET /v1/jobs/{id}/trace and GET /debug/traces, and feeds the stage
+	// latency histograms. Nil gets a default tracer (obs.Config{}).
 	Tracer *obs.Tracer
 	// Bus, when non-nil, is the live telemetry bus: job lifecycle,
 	// queue-depth, span-completion, ledger and solver search-progress
 	// events stream from it over GET /v1/events and
 	// GET /v1/jobs/{id}/events, with per-job aggregates on
-	// GET /v1/jobs/{id}/progress. Solver and span events additionally
-	// require a Tracer — the job's trace is the conduit that carries them
-	// onto the bus. Nil disables live events at zero cost.
+	// GET /v1/jobs/{id}/progress; solver and span events reach the bus
+	// through the job's trace. Nil disables live events at zero cost.
 	Bus *obs.Bus
 	// Logger, when non-nil, emits structured request and job logs.
 	Logger *slog.Logger
@@ -67,14 +67,14 @@ type Config struct {
 //	POST /v1/jobs                        submit a document (202, JobView)
 //	GET  /v1/jobs                        list jobs (results omitted)
 //	GET  /v1/jobs/{id}                   one job, result included when terminal
-//	GET  /v1/jobs/{id}/trace             the job's finished span tree (tracing only)
+//	GET  /v1/jobs/{id}/trace             the job's finished span tree
 //	GET  /v1/jobs/{id}/events            SSE: the job's events, replay then live (bus only)
 //	GET  /v1/jobs/{id}/progress          live per-job progress aggregate (bus only)
 //	GET  /v1/jobs/{id}/suggestions       suggestion records of a validation session
 //	POST /v1/jobs/{id}/suggestions/{sid} accept/reject/revert one suggestion
 //	GET  /v1/jobs/{id}/workbench         embedded operator workbench page
 //	GET  /v1/events                      SSE firehose with kind filters (bus only)
-//	GET  /debug/traces                   the N slowest recent traces (tracing only)
+//	GET  /debug/traces                   the N slowest recent traces
 //	GET  /debug/pprof/                   runtime profiles (Config.EnablePprof only)
 //	GET  /healthz                        liveness; 503 while draining
 //	GET  /readyz                         readiness: replay done, pool started, queue accepting
@@ -98,9 +98,13 @@ type Server struct {
 // configured store it replays the durable history first, so New fails if
 // the store cannot be read.
 func New(cfg Config) (*Server, error) {
+	tracer := cfg.Tracer
+	if tracer == nil {
+		tracer = obs.New(obs.Config{})
+	}
 	s := &Server{
 		metrics:       NewMetrics(),
-		tracer:        cfg.Tracer,
+		tracer:        tracer,
 		bus:           cfg.Bus,
 		logger:        cfg.Logger,
 		enablePprof:   cfg.EnablePprof,
@@ -120,13 +124,11 @@ func New(cfg Config) (*Server, error) {
 				s.logger.Error("job store append failed", "error", err.Error())
 			}
 		}
-		span := cfg.Tracer.StartTrace("store.replay")
+		span := tracer.StartTrace("store.replay")
 		queue, rs, err := RecoverQueue(cfg.QueueCapacity, cfg.Store, snapEvery, onStoreError)
 		if err != nil {
-			if span != nil {
-				span.SetStr("error", err.Error())
-				span.End()
-			}
+			span.SetStr("error", err.Error())
+			span.End()
 			return nil, err
 		}
 		span.SetInt("records", rs.Records)
@@ -174,7 +176,7 @@ func New(cfg Config) (*Server, error) {
 		JobTimeout:  cfg.JobTimeout,
 		MaxAttempts: cfg.MaxAttempts,
 		Backoff:     cfg.Backoff,
-		Tracer:      cfg.Tracer,
+		Tracer:      tracer,
 		Logger:      cfg.Logger,
 	}
 	bb := cfg.SolverWorkers
@@ -183,9 +185,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.metrics.Bind(s.queue.Depth, s.pool.workerCount(), bb)
 	s.metrics.BindSuggestions(s.queue.OpenSuggestions)
-	if cfg.Tracer != nil {
-		s.metrics.BindTracer(cfg.Tracer.DroppedSpans)
-	}
+	s.metrics.BindTracer(tracer.DroppedSpans)
 	if cfg.Bus != nil {
 		s.metrics.BindBus(cfg.Bus.DroppedByName)
 	}
@@ -215,7 +215,7 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // Queue exposes the job store (benchmarks and tests).
 func (s *Server) Queue() *Queue { return s.queue }
 
-// Tracer exposes the span recorder, nil when tracing is off (tests).
+// Tracer exposes the span recorder.
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // Bus exposes the live telemetry bus, nil when live events are off (tests).

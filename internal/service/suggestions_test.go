@@ -257,7 +257,8 @@ func scrapeMetrics(t *testing.T, base string) string {
 
 // TestValidationJobCountsSolverWork: a validation session worked through
 // the suggestions API feeds the solver counters exactly like an automatic
-// job does.
+// job does, and its stage spans feed one prepare observation and one
+// resolve observation per iteration.
 func TestValidationJobCountsSolverWork(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	before := scrapeMetrics(t, ts.URL)
@@ -293,6 +294,12 @@ func TestValidationJobCountsSolverWork(t *testing.T) {
 		if b, a := metricValue(t, before, name), metricValue(t, after, name); a <= b {
 			t.Errorf("%s = %v after the validation job, %v before; want it to rise", name, a, b)
 		}
+	}
+	if n := metricValue(t, after, "dart_prepare_seconds_count"); n != 1 {
+		t.Errorf("dart_prepare_seconds_count = %v, want 1", n)
+	}
+	if n, want := metricValue(t, after, "dart_resolve_seconds_count"), got.Result.Validation.Iterations; n != float64(want) || want < 2 {
+		t.Errorf("dart_resolve_seconds_count = %v over %d iterations, want one per iteration and at least 2", n, want)
 	}
 }
 

@@ -73,7 +73,7 @@ func TestJobTraceEndpoint(t *testing.T) {
 }
 
 // TestDebugTracesEndpoint checks the slowest-traces listing after a couple
-// of jobs, plus the disabled-tracing responses.
+// of jobs.
 func TestDebugTracesEndpoint(t *testing.T) {
 	tracer := obs.New(obs.Config{Capacity: 8})
 	_, ts := newTestServer(t, Config{Workers: 1, Tracer: tracer})
@@ -118,15 +118,19 @@ func TestDebugTracesEndpoint(t *testing.T) {
 	}
 }
 
-// TestTraceEndpointsWithoutTracer checks both trace endpoints answer 501
-// when the server runs without a tracer, and that job views carry no
-// trace_id.
-func TestTraceEndpointsWithoutTracer(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+// TestDefaultTracerFeedsStageHistograms: a server configured without a
+// tracer still traces every job (New installs a default tracer), serves
+// its span tree, and folds the job's stage spans into the stage
+// histograms — one observation each for one job.
+func TestDefaultTracerFeedsStageHistograms(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
 	view, _ := postJob(t, ts.URL, JobSpec{Document: runningExampleErrorHTML()})
 	done := pollJob(t, ts.URL, view.ID)
-	if done.TraceID != "" {
-		t.Errorf("tracing off, yet job has trace_id %q", done.TraceID)
+	if done.State != StateSucceeded {
+		t.Fatalf("job ended %s: %s", done.State, done.Error)
+	}
+	if done.TraceID == "" {
+		t.Fatal("finished job has no trace_id")
 	}
 	for _, path := range []string{"/v1/jobs/" + view.ID + "/trace", "/debug/traces"} {
 		resp, err := http.Get(ts.URL + path)
@@ -134,8 +138,28 @@ func TestTraceEndpointsWithoutTracer(t *testing.T) {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotImplemented {
-			t.Errorf("GET %s: status %d, want 501", path, resp.StatusCode)
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s: status %d, want 200", path, resp.StatusCode)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{
+		`dartd_stage_seconds_count{stage="wrapper"}`,
+		`dartd_stage_seconds_count{stage="solver"}`,
+		"dart_prepare_seconds_count",
+		"dart_resolve_seconds_count",
+	} {
+		if got := metricValue(t, string(text), name); got != 1 {
+			t.Errorf("%s = %v, want 1", name, got)
 		}
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"time"
 
 	"dart/internal/aggrcons"
 	"dart/internal/core"
@@ -228,10 +227,6 @@ type Session struct {
 	// differential tests and the BenchmarkValidationLoop baseline; results
 	// are identical either way.
 	DisablePreparedReuse bool
-	// Observe, when non-nil, receives the latency of the one-time problem
-	// preparation ("prepare") and of every in-loop repair computation
-	// ("resolve").
-	Observe func(stage string, d time.Duration)
 	// Context, when non-nil, bounds every repair computation of the loop;
 	// nil means context.Background().
 	Context context.Context
@@ -282,13 +277,6 @@ type Outcome struct {
 	Suggestions []repair.Suggestion
 }
 
-// observe reports one timed stage to the session's observer, if any.
-func (s *Session) observe(stage string, start time.Time) {
-	if s.Observe != nil {
-		s.Observe(stage, time.Since(start))
-	}
-}
-
 // Run executes the validation loop to acceptance.
 func (s *Session) Run() (*Outcome, error) {
 	ctx := s.Context
@@ -315,13 +303,11 @@ func (s *Session) Run() (*Outcome, error) {
 	// the ordering heuristic needs.
 	prob := s.Problem
 	if prob == nil {
-		start := time.Now()
 		var err error
 		prob, err = core.Prepare(s.DB, s.Constraints)
 		if err != nil {
 			return nil, err
 		}
-		s.observe("prepare", start)
 	}
 	statsBefore := prob.Stats()
 	occ := prob.Occurrences()
@@ -349,9 +335,10 @@ func (s *Session) Run() (*Outcome, error) {
 // when every suggestion of the proposed repair is decided without a reject
 // or revert this round (the repair is accepted, res carries it). When
 // tracing is active each round becomes one "validate.iteration" span —
-// carrying the solve beneath it, counters for the round's decisions, and
-// one "repair.decision" child span per decision landed this round — so a
-// deferred End covers every exit path of the round uniformly.
+// carrying the solve as a "stage.resolve" child (component spans nest
+// under it), counters for the round's decisions, and one "repair.decision"
+// child span per decision landed this round — so a deferred End covers
+// every exit path of the round uniformly.
 func (s *Session) iterate(ctx context.Context, prob *core.Problem, ledger *repair.Ledger, decider repair.Decider, out *Outcome, occOf func(core.Item) int) (done bool, res *core.Result, err error) {
 	if span := obs.FromContext(ctx).StartChild("validate.iteration"); span != nil {
 		span.SetInt("iteration", out.Iterations)
@@ -370,13 +357,14 @@ func (s *Session) iterate(ctx context.Context, prob *core.Problem, ledger *repai
 		}()
 	}
 	pins := ledger.Pins()
-	start := time.Now()
+	resolveSpan := obs.FromContext(ctx).StartChild("stage.resolve")
+	rctx := obs.ContextWithSpan(ctx, resolveSpan)
 	if s.DisablePreparedReuse {
-		res, err = core.FindRepair(ctx, s.Solver, s.DB, s.Constraints, pins)
+		res, err = core.FindRepair(rctx, s.Solver, s.DB, s.Constraints, pins)
 	} else {
-		res, err = s.Solver.SolveProblem(ctx, prob, pins)
+		res, err = s.Solver.SolveProblem(rctx, prob, pins)
 	}
-	s.observe("resolve", start)
+	resolveSpan.End()
 	if err != nil {
 		return false, nil, err
 	}

@@ -27,8 +27,9 @@ func findSpans(node *obs.SpanNode, name string) []*obs.SpanNode {
 }
 
 // TestPipelineTraceCoversValidationLoop runs the operator pipeline under a
-// tracer and checks the trace records one span per validation iteration,
-// with the loop's accept/reject decisions summing up across them.
+// tracer and checks the trace records one "stage.prepare" span and one span
+// per validation iteration, each holding its solve as a "stage.resolve"
+// span, with the loop's accept/reject decisions summing up across them.
 func TestPipelineTraceCoversValidationLoop(t *testing.T) {
 	truth := docgen.BudgetDatabase(docgen.RunningExampleBudget())
 	doc := docgen.RunningExampleDocument()
@@ -64,6 +65,9 @@ func TestPipelineTraceCoversValidationLoop(t *testing.T) {
 	if len(solver) != 1 {
 		t.Fatalf("found %d stage.solver spans, want 1", len(solver))
 	}
+	if n := len(findSpans(solver[0], "stage.prepare")); n != 1 {
+		t.Errorf("found %d stage.prepare spans, want 1", n)
+	}
 	iters := findSpans(solver[0], "validate.iteration")
 	if len(iters) != res.Validation.Iterations {
 		t.Fatalf("found %d validate.iteration spans, outcome reports %d iterations",
@@ -74,8 +78,12 @@ func TestPipelineTraceCoversValidationLoop(t *testing.T) {
 		if got, want := it.Attrs["iteration"], int64(i+1); got != want {
 			t.Errorf("iteration span %d numbered %v, want %d", i, got, want)
 		}
-		if len(findSpans(it, "repair.component")) == 0 {
-			t.Errorf("iteration %d has no repair.component child", i+1)
+		resolve := findSpans(it, "stage.resolve")
+		if len(resolve) != 1 {
+			t.Fatalf("iteration %d has %d stage.resolve spans, want 1", i+1, len(resolve))
+		}
+		if len(findSpans(resolve[0], "repair.component")) == 0 {
+			t.Errorf("iteration %d's stage.resolve has no repair.component child", i+1)
 		}
 		accepted += it.Attrs["accepted"].(int64)
 		rejected += it.Attrs["rejected"].(int64)
