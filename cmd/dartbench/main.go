@@ -26,6 +26,7 @@ import (
 	"dart/internal/analysis"
 	"dart/internal/analysis/passes"
 	"dart/internal/core"
+	"dart/internal/docgen"
 	"dart/internal/experiments"
 	"dart/internal/milp"
 	"dart/internal/obs"
@@ -277,6 +278,21 @@ func writeBenchJSON(path string) error {
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Prepare(db, cashBudget); err != nil {
 					b.Fatal(err)
+				}
+			}
+		}},
+		{"Extract50y", func(b *testing.B) {
+			html := docgen.BudgetDocument(docgen.RandomBudget(rand.New(rand.NewSource(7331)), 2000, 50)).HTML()
+			w := md.NewWrapper()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				instances, _, err := w.Extract(html)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(instances) != 500 {
+					b.Fatalf("instances = %d, want 500", len(instances))
 				}
 			}
 		}},

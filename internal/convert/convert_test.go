@@ -49,16 +49,21 @@ func TestScanTextRoundTrip(t *testing.T) {
 		t.Fatalf("tables = %d, want 2", len(tables))
 	}
 	// Every converted table is 10 rows x 4 columns of repeated values.
+	var grids [][][]htmlx.GridCell
 	for ti, tb := range tables {
-		grid := tb.Grid()
+		grid, err := tb.Grid()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(grid) != 10 || len(grid[0]) != 4 {
 			t.Fatalf("table %d grid = %dx%d", ti, len(grid), len(grid[0]))
 		}
+		grids = append(grids, grid)
 	}
-	if got := tables[0].Grid()[3][3].Text; got != "220" {
+	if got := grids[0][3][3].Text; got != "220" {
 		t.Errorf("tcr value = %q", got)
 	}
-	if got := tables[1].Grid()[0][0].Text; got != "2004" {
+	if got := grids[1][0][0].Text; got != "2004" {
 		t.Errorf("second table year = %q", got)
 	}
 	if !strings.Contains(html, "<title>Cash budgets</title>") {

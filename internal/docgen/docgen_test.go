@@ -30,7 +30,10 @@ func TestRunningExampleDocumentMatchesFig1(t *testing.T) {
 	if len(tables) != 2 {
 		t.Fatalf("parsed tables = %d", len(tables))
 	}
-	grid := tables[0].Grid()
+	grid, err := tables[0].Grid()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(grid) != 10 || len(grid[0]) != 4 {
 		t.Fatalf("grid = %dx%d, want 10x4", len(grid), len(grid[0]))
 	}
@@ -174,7 +177,10 @@ func TestOrdersDocumentAndDatabase(t *testing.T) {
 	if len(tables) != 1 {
 		t.Fatal("table count")
 	}
-	grid := tables[0].Grid()
+	grid, err := tables[0].Grid()
+	if err != nil {
+		t.Fatal(err)
+	}
 	totalLines := 0
 	for _, o := range orders {
 		totalLines += len(o.Lines)

@@ -3,10 +3,20 @@ package htmlx
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+func mustGrid(t *testing.T, tab *Table) [][]GridCell {
+	t.Helper()
+	grid, err := tab.Grid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return grid
+}
 
 func TestTokenizeBasics(t *testing.T) {
 	toks := Tokenize(`<table class="x"><tr><td colspan=2>A &amp; B</td></tr></table>`)
@@ -45,6 +55,24 @@ func TestTokenizeCommentsDoctypeScript(t *testing.T) {
 	}
 	if !strings.Contains(joined, "ok") {
 		t.Errorf("content lost: %q", joined)
+	}
+}
+
+// TestTokenizeScriptTagsLinear: skipping script and style elements costs
+// allocation in proportion to the input, not to the number of elements
+// times the input. The trailing upper-case byte defeats any shortcut for
+// input that is already lower case.
+func TestTokenizeScriptTagsLinear(t *testing.T) {
+	src := strings.Repeat("<script>x</script><style>y</STYLE>", 2000) + "X"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	toks := Tokenize(src)
+	runtime.ReadMemStats(&after)
+	if len(toks) != 8001 || toks[8000].Text != "X" {
+		t.Fatalf("%d tokens, last %+v; want 8001 ending in text X", len(toks), toks[len(toks)-1])
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64*uint64(len(src)) {
+		t.Errorf("Tokenize allocated %d bytes on %d bytes of input, want at most 64 per input byte", alloc, len(src))
 	}
 }
 
@@ -142,7 +170,7 @@ func TestParseTableRowspanGrid(t *testing.T) {
 	if len(tables) != 1 {
 		t.Fatal("table count")
 	}
-	grid := tables[0].Grid()
+	grid := mustGrid(t, tables[0])
 	if len(grid) != 3 {
 		t.Fatalf("grid rows = %d", len(grid))
 	}
@@ -174,7 +202,7 @@ func TestParseTableColspan(t *testing.T) {
  <tr><td colspan="2">wide</td><td>x</td></tr>
  <tr><td>a</td><td>b</td><td>c</td></tr>
 </table>`
-	grid := ParseTables(src)[0].Grid()
+	grid := mustGrid(t, ParseTables(src)[0])
 	if grid[0][0].Text != "wide" || grid[0][1].Text != "wide" || !grid[0][1].Spanned {
 		t.Errorf("colspan expansion: %+v", grid[0])
 	}
@@ -193,7 +221,7 @@ func TestParseTableRowAndColSpanCombined(t *testing.T) {
  <tr><td>r1</td></tr>
  <tr><td>a</td><td>b</td><td>c</td></tr>
 </table>`
-	grid := ParseTables(src)[0].Grid()
+	grid := mustGrid(t, ParseTables(src)[0])
 	for _, pos := range [][2]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}} {
 		c := grid[pos[0]][pos[1]]
 		if c.Text != "big" || c.OriginRow != 0 || c.OriginCol != 0 {
@@ -210,7 +238,7 @@ func TestParseTableRowAndColSpanCombined(t *testing.T) {
 
 func TestParseRaggedRowsPadded(t *testing.T) {
 	src := `<table><tr><td>a</td><td>b</td></tr><tr><td>only</td></tr></table>`
-	grid := ParseTables(src)[0].Grid()
+	grid := mustGrid(t, ParseTables(src)[0])
 	if len(grid[1]) != 2 {
 		t.Fatalf("row 1 width = %d", len(grid[1]))
 	}
@@ -270,8 +298,8 @@ func TestTableString(t *testing.T) {
 		t.Errorf("String() = %q, expected spanned marker", s)
 	}
 	var empty Table
-	if empty.Grid() != nil {
-		t.Error("empty table grid should be nil")
+	if g, err := empty.Grid(); g != nil || err != nil {
+		t.Errorf("empty table grid = %v, %v; want nil, nil", g, err)
 	}
 }
 
@@ -291,7 +319,7 @@ func TestSpanBombClamped(t *testing.T) {
 	if len(src) != 52 {
 		t.Fatalf("document is %d bytes, want 52", len(src))
 	}
-	grid := ParseTables(src)[0].Grid()
+	grid := mustGrid(t, ParseTables(src)[0])
 	if len(grid) != 1 || len(grid[0]) != 1000 {
 		t.Fatalf("grid is %d rows, first of width %d; want 1 row of width 1000", len(grid), len(grid[0]))
 	}
@@ -336,8 +364,8 @@ func TestGridAlwaysRectangularProperty(t *testing.T) {
 		if len(tables) != 1 {
 			return false
 		}
-		grid := tables[0].Grid()
-		if len(grid) == 0 {
+		grid, err := tables[0].Grid()
+		if err != nil || len(grid) == 0 {
 			return false
 		}
 		w := len(grid[0])

@@ -25,9 +25,11 @@ const (
 
 // Token is one lexical unit of an HTML document.
 type Token struct {
-	Kind        TokenKind
-	Name        string // tag name, lower-cased (start/end tags)
-	Text        string // character data (text tokens)
+	Kind TokenKind
+	Name string // tag name, lower-cased (start/end tags)
+	Text string // character data (text tokens)
+	// Attrs maps lower-cased attribute names to entity-decoded values. It is
+	// nil for end tags and for start tags without attributes.
 	Attrs       map[string]string
 	SelfClosing bool
 }
@@ -37,68 +39,110 @@ type Token struct {
 // doctypes are dropped. Script and style elements are skipped entirely.
 func Tokenize(src string) []Token {
 	var toks []Token
-	i, n := 0, len(src)
-	var text strings.Builder
-	flushText := func() {
-		if text.Len() > 0 {
-			toks = append(toks, Token{Kind: TokenText, Text: DecodeEntities(text.String())})
-			text.Reset()
-		}
+	z := tokenizer{src: src}
+	for tok, ok := z.next(); ok; tok, ok = z.next() {
+		toks = append(toks, tok)
 	}
-	for i < n {
-		c := src[i]
-		if c != '<' {
-			text.WriteByte(c)
-			i++
-			continue
+	return toks
+}
+
+// tokenizer yields the tokens of src one at a time. Text tokens are
+// substrings of src, copied only when DecodeEntities rewrites them.
+type tokenizer struct {
+	src string
+	i   int // offset of the next unread byte
+}
+
+// next returns the next token; ok is false once the input is exhausted.
+func (z *tokenizer) next() (Token, bool) {
+	src := z.src
+	for z.i < len(src) {
+		i := z.i
+		// Character data runs to the next markup. A '<' that opens no
+		// comment or declaration and has no '>' after it is not markup: it
+		// and the rest of the input are text.
+		end := len(src)
+		if j := strings.IndexByte(src[i:], '<'); j >= 0 && !isJunk(src[i+j:]) {
+			end = i + j
+		}
+		if end > i {
+			z.i = end
+			return Token{Kind: TokenText, Text: DecodeEntities(src[i:end])}, true
 		}
 		// Comment?
 		if strings.HasPrefix(src[i:], "<!--") {
-			flushText()
-			end := strings.Index(src[i+4:], "-->")
-			if end < 0 {
+			e := strings.Index(src[i+4:], "-->")
+			if e < 0 {
 				break
 			}
-			i += 4 + end + 3
+			z.i = i + 4 + e + 3
 			continue
 		}
-		// Doctype or other declaration.
+		// Doctype or other declaration. Neither it nor a tag can lack its
+		// '>': isJunk turned such a '<' into text above.
+		e := strings.IndexByte(src[i:], '>')
 		if strings.HasPrefix(src[i:], "<!") || strings.HasPrefix(src[i:], "<?") {
-			flushText()
-			end := strings.IndexByte(src[i:], '>')
-			if end < 0 {
+			if e < 0 {
 				break
 			}
-			i += end + 1
+			z.i = i + e + 1
 			continue
 		}
 		// Tag.
-		end := strings.IndexByte(src[i:], '>')
-		if end < 0 {
-			// Trailing junk: treat as text.
-			text.WriteString(src[i:])
-			break
-		}
-		raw := src[i+1 : i+end]
-		i += end + 1
-		flushText()
-		tok, ok := parseTag(raw)
+		z.i = i + e + 1
+		tok, ok := parseTag(src[i+1 : i+e])
 		if !ok {
 			continue
 		}
-		toks = append(toks, tok)
 		// Skip raw content of script/style.
 		if tok.Kind == TokenStartTag && !tok.SelfClosing && (tok.Name == "script" || tok.Name == "style") {
-			closer := "</" + tok.Name
-			idx := strings.Index(strings.ToLower(src[i:]), closer)
-			if idx < 0 {
-				break
+			if c := indexCloser(src[z.i:], tok.Name); c >= 0 {
+				z.i += c
+			} else {
+				z.i = len(src)
 			}
-			i += idx
+		}
+		return tok, true
+	}
+	z.i = len(src)
+	return Token{}, false
+}
+
+// isJunk reports whether s, which starts with '<', is a stray '<': neither
+// a comment or declaration nor followed by a '>' closing a tag.
+func isJunk(s string) bool {
+	return !strings.HasPrefix(s, "<!") && !strings.HasPrefix(s, "<?") && strings.IndexByte(s, '>') < 0
+}
+
+// indexCloser returns the offset in s of the first "</" followed by name
+// in any ASCII letter case, or -1. name is lower-case ASCII.
+func indexCloser(s, name string) int {
+	for off := 0; ; {
+		j := strings.Index(s[off:], "</")
+		if j < 0 {
+			return -1
+		}
+		at := off + j
+		if k := at + 2; len(s)-k >= len(name) && equalFoldASCII(s[k:k+len(name)], name) {
+			return at
+		}
+		off = at + 1
+	}
+}
+
+// equalFoldASCII reports whether s equals the lower-case ASCII string lower
+// after lower-casing s's ASCII letters.
+func equalFoldASCII(s, lower string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != lower[i] {
+			return false
 		}
 	}
-	flushText()
-	return toks
+	return true
 }
 
 // parseTag parses the inside of <...>.
@@ -129,7 +173,7 @@ func parseTag(raw string) (Token, bool) {
 	if end {
 		return Token{Kind: TokenEndTag, Name: name}, true
 	}
-	tok := Token{Kind: TokenStartTag, Name: name, SelfClosing: selfClosing, Attrs: map[string]string{}}
+	tok := Token{Kind: TokenStartTag, Name: name, SelfClosing: selfClosing}
 	// Attributes.
 	k := j
 	for k < len(raw) {
@@ -173,6 +217,9 @@ func parseTag(raw string) (Token, bool) {
 			}
 		}
 		if attr != "" {
+			if tok.Attrs == nil {
+				tok.Attrs = map[string]string{}
+			}
 			tok.Attrs[attr] = DecodeEntities(val)
 		}
 	}

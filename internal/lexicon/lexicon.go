@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // Levenshtein computes the edit distance between two strings (unit-cost
@@ -20,15 +21,24 @@ func Levenshtein(a, b string) int {
 	if a == b {
 		return 0
 	}
-	la, lb := len(a), len(b)
-	if la == 0 {
-		return lb
+	// The distance is symmetric: keep the rows along the shorter string.
+	if len(b) > len(a) {
+		a, b = b, a
 	}
+	la, lb := len(a), len(b)
 	if lb == 0 {
 		return la
 	}
-	prev := make([]int, lb+1)
-	cur := make([]int, lb+1)
+	// Rows for the lexical items and cell texts the wrapper compares fit
+	// in a stack buffer.
+	const stackRow = 64
+	var buf [2 * stackRow]int
+	var prev, cur []int
+	if lb < stackRow {
+		prev, cur = buf[:lb+1], buf[stackRow:stackRow+lb+1]
+	} else {
+		prev, cur = make([]int, lb+1), make([]int, lb+1)
+	}
 	for j := 0; j <= lb; j++ {
 		prev[j] = j
 	}
@@ -97,55 +107,104 @@ func min3(a, b, c int) int {
 // is case-insensitive with surrounding whitespace ignored, matching how the
 // wrapper normalizes cell text.
 func Similarity(a, b string) float64 {
-	a = Normalize(a)
-	b = Normalize(b)
+	return similarity(Normalize(a), Normalize(b))
+}
+
+// similarity is Similarity on already normalized strings.
+func similarity(a, b string) float64 {
 	if a == b {
 		return 1
 	}
-	la, lb := len(a), len(b)
-	m := la
-	if lb > m {
-		m = lb
-	}
-	if m == 0 {
-		return 1
-	}
-	d := Levenshtein(a, b)
-	s := 1 - float64(d)/float64(m)
+	m := max(len(a), len(b))
+	s := 1 - float64(Levenshtein(a, b))/float64(m)
 	if s < 0 {
 		return 0
 	}
 	return s
 }
 
-// Normalize lower-cases and collapses internal whitespace.
-func Normalize(s string) string {
-	return strings.Join(strings.Fields(strings.ToLower(s)), " ")
+// lengthBound is an upper bound on similarity(a, b) for strings of lengths
+// la and lb, not both zero: the edit distance is at least the length
+// difference. Division and subtraction are monotone under rounding, so the
+// bound also holds for the float64 similarity computes.
+func lengthBound(la, lb int) float64 {
+	d := la - lb
+	if d < 0 {
+		d = -d
+	}
+	return 1 - float64(d)/float64(max(la, lb))
 }
 
-// Domain is a named set of lexical items (a domain description).
+// Normalize lower-cases and collapses internal whitespace.
+func Normalize(s string) string {
+	normal := true
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			return strings.Join(strings.Fields(strings.ToLower(s)), " ")
+		}
+		if 'A' <= c && c <= 'Z' || isSpace(c) && (c != ' ' || i == 0 || i == len(s)-1 || s[i+1] == ' ') {
+			normal = false
+		}
+	}
+	if normal {
+		return s
+	}
+	// ASCII: lower-case and collapse in one pass, exactly as the general
+	// path does.
+	b := make([]byte, 0, len(s))
+	space := false
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if isSpace(c) {
+			space = len(b) > 0
+			continue
+		}
+		if space {
+			b = append(b, ' ')
+			space = false
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		b = append(b, c)
+	}
+	return string(b)
+}
+
+// isSpace reports the ASCII bytes strings.Fields splits on.
+func isSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
+}
+
+// Domain is a named set of lexical items (a domain description). Each item
+// is stored with its normalized form, so matching normalizes only the
+// query.
 type Domain struct {
 	Name  string
 	items []string
-	set   map[string]bool
+	norm  []string       // norm[i] is Normalize(items[i])
+	set   map[string]int // normalized form -> index into items
 }
 
 // NewDomain creates a domain with the given items. Items are kept verbatim
 // for output but matched in normalized form.
 func NewDomain(name string, items ...string) *Domain {
-	d := &Domain{Name: name, set: map[string]bool{}}
+	d := &Domain{Name: name, set: map[string]int{}}
 	for _, it := range items {
 		d.Add(it)
 	}
 	return d
 }
 
-// Add inserts an item (idempotent under normalization).
+// Add inserts an item (idempotent under normalization: the first item of
+// each normalized form is kept).
 func (d *Domain) Add(item string) {
 	key := Normalize(item)
-	if !d.set[key] {
-		d.set[key] = true
+	if _, dup := d.set[key]; !dup {
+		d.set[key] = len(d.items)
 		d.items = append(d.items, item)
+		d.norm = append(d.norm, key)
 	}
 }
 
@@ -154,7 +213,10 @@ func (d *Domain) Items() []string { return append([]string(nil), d.items...) }
 
 // Contains reports whether the string is an item of the domain (normalized
 // comparison).
-func (d *Domain) Contains(s string) bool { return d.set[Normalize(s)] }
+func (d *Domain) Contains(s string) bool {
+	_, ok := d.set[Normalize(s)]
+	return ok
+}
 
 // Match is the result of matching a string against a domain.
 type Match struct {
@@ -163,17 +225,29 @@ type Match struct {
 }
 
 // BestMatch returns the most similar lexical item (msi in the paper's
-// wrapper description) together with its similarity score. ok is false for
-// an empty domain.
+// wrapper description) together with its similarity score; ties go to the
+// earliest item. ok is false for an empty domain.
+//
+// The result is exactly that of scoring every item with Similarity. An item
+// equal to the query after normalization scores 1, and no other item can,
+// because Add keeps one item per normalized form; so it is returned
+// directly. Otherwise an item is skipped when its length bound cannot beat
+// the best score so far, which never changes the first-wins winner.
 func (d *Domain) BestMatch(s string) (Match, bool) {
 	if len(d.items) == 0 {
 		return Match{}, false
 	}
+	q := Normalize(s)
+	if i, ok := d.set[q]; ok {
+		return Match{Item: d.items[i], Score: 1}, true
+	}
 	best := Match{Score: -1}
-	for _, it := range d.items {
-		sc := Similarity(s, it)
-		if sc > best.Score {
-			best = Match{Item: it, Score: sc}
+	for i, it := range d.norm {
+		if lengthBound(len(q), len(it)) <= best.Score {
+			continue
+		}
+		if sc := similarity(q, it); sc > best.Score {
+			best = Match{Item: d.items[i], Score: sc}
 		}
 	}
 	return best, true

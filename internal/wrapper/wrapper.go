@@ -81,7 +81,9 @@ func (p *RowPattern) Validate() error {
 }
 
 // CellMatch is the binding of one pattern cell in an instance: the item (or
-// normalized literal) the cell was bound to and the matching score.
+// normalized literal) the cell was bound to and the matching score. A
+// literal is a copy, so values outlive the document they came from without
+// keeping it alive.
 type CellMatch struct {
 	Value string
 	Score float64
@@ -112,18 +114,19 @@ type Correction struct {
 	Score      float64
 }
 
-// Corrections lists the string repairs embodied in the instance.
+// Corrections lists the string repairs embodied in the instance. From is a
+// copy: it does not keep the source document alive.
 func (in *Instance) Corrections() []Correction {
 	var out []Correction
 	for i, pc := range in.Pattern.Cells {
-		if pc.Kind != KindDomain || i >= len(in.Raw) {
+		if pc.Kind != KindDomain || i >= len(in.Raw) || in.Cells[i].Score >= 1 {
 			continue
 		}
-		if in.Cells[i].Score < 1 && in.Cells[i].Value != htmlx.CollapseSpace(in.Raw[i]) {
+		if from := htmlx.CollapseSpace(in.Raw[i]); in.Cells[i].Value != from {
 			out = append(out, Correction{
 				Table: in.Table, Row: in.Row,
 				Headline: pc.Headline,
-				From:     htmlx.CollapseSpace(in.Raw[i]),
+				From:     strings.Clone(from),
 				To:       in.Cells[i].Value,
 				Score:    in.Cells[i].Score,
 			})
@@ -166,7 +169,9 @@ type Skipped struct {
 }
 
 // Extract parses the HTML document and returns the accepted row pattern
-// instances in document order, plus the rows that matched no pattern.
+// instances in document order, plus the rows that matched no pattern. A
+// table whose rowspan/colspan expansion exceeds htmlx's grid bound fails the
+// call.
 func (w *Wrapper) Extract(html string) ([]*Instance, []Skipped, error) {
 	for _, p := range w.Patterns {
 		if err := p.Validate(); err != nil {
@@ -180,6 +185,7 @@ func (w *Wrapper) Extract(html string) ([]*Instance, []Skipped, error) {
 	if minScore == 0 {
 		minScore = 0.5
 	}
+	x := &extraction{Wrapper: w}
 	var instances []*Instance
 	var skipped []Skipped
 	tables := htmlx.ParseTables(html)
@@ -187,19 +193,24 @@ func (w *Wrapper) Extract(html string) ([]*Instance, []Skipped, error) {
 		if w.TableFilter != nil && !w.TableFilter(ti) {
 			continue
 		}
-		grid := table.Grid()
+		grid, err := table.Grid()
+		if err != nil {
+			return nil, nil, fmt.Errorf("wrapper: table %d: %w", ti, err)
+		}
 		for ri, row := range grid {
 			cells := presentTexts(row)
 			if len(cells) == 0 {
 				continue
 			}
-			best := w.matchRow(cells)
+			best := x.matchRow(cells)
 			if best == nil || best.Score < minScore {
 				sc := 0.0
 				if best != nil {
 					sc = best.Score
 				}
-				skipped = append(skipped, Skipped{Table: ti, Row: ri, BestScore: sc, Text: strings.Join(cells, " | ")})
+				// Join returns a single cell as is; the copy detaches it
+				// from the document.
+				skipped = append(skipped, Skipped{Table: ti, Row: ri, BestScore: sc, Text: strings.Clone(strings.Join(cells, " | "))})
 				continue
 			}
 			best.Table, best.Row = ti, ri
@@ -209,8 +220,25 @@ func (w *Wrapper) Extract(html string) ([]*Instance, []Skipped, error) {
 	return instances, skipped, nil
 }
 
+// extraction is the state of one Extract call. It memoizes the domains
+// restricted by a specialization constraint: a document has few distinct
+// parent items, so each restriction is computed once per call rather than
+// once per row. The memo dies with the call, which keeps concurrent Extract
+// calls on one Wrapper independent.
+type extraction struct {
+	*Wrapper
+	restricted map[restriction]*lexicon.Domain
+}
+
+// restriction identifies a restricted domain: the pattern cell whose domain
+// is restricted and the parent item its items must specialize.
+type restriction struct {
+	cell   *PatternCell
+	parent string
+}
+
 func presentTexts(row []htmlx.GridCell) []string {
-	var out []string
+	out := make([]string, 0, len(row))
 	for _, c := range row {
 		if c.Present {
 			out = append(out, c.Text)
@@ -225,13 +253,13 @@ func presentTexts(row []htmlx.GridCell) []string {
 
 // matchRow evaluates every pattern on the row's cell texts and returns the
 // best-scoring instance (nil when no pattern has the row's arity).
-func (w *Wrapper) matchRow(cells []string) *Instance {
+func (x *extraction) matchRow(cells []string) *Instance {
 	var best *Instance
-	for _, p := range w.Patterns {
+	for _, p := range x.Patterns {
 		if len(p.Cells) != len(cells) {
 			continue
 		}
-		in := w.matchPattern(p, cells)
+		in := x.matchPattern(p, cells)
 		if best == nil || in.Score > best.Score {
 			best = in
 		}
@@ -241,11 +269,14 @@ func (w *Wrapper) matchRow(cells []string) *Instance {
 
 // matchPattern binds each cell of the row to the pattern, producing the
 // instance with per-cell scores (Example 13's 90% score for "bgnning cesh"
-// against the Subsection domain arises here).
-func (w *Wrapper) matchPattern(p *RowPattern, cells []string) *Instance {
-	in := &Instance{Pattern: p, Cells: make([]CellMatch, len(cells)), Raw: append([]string(nil), cells...)}
-	scores := make([]float64, len(cells))
-	for i, pc := range p.Cells {
+// against the Subsection domain arises here). Candidate instances of one
+// row share its cells slice as Raw; nothing writes to it.
+func (x *extraction) matchPattern(p *RowPattern, cells []string) *Instance {
+	in := &Instance{Pattern: p, Cells: make([]CellMatch, len(cells)), Raw: cells}
+	var buf [8]float64
+	scores := buf[:0]
+	for i := range p.Cells {
+		pc := &p.Cells[i]
 		text := htmlx.CollapseSpace(cells[i])
 		var cm CellMatch
 		switch pc.Kind {
@@ -258,12 +289,15 @@ func (w *Wrapper) matchPattern(p *RowPattern, cells []string) *Instance {
 				cm = CellMatch{Value: text, Score: 1}
 			}
 		case KindDomain:
-			cm = w.matchDomain(pc, in, text)
+			cm = x.matchDomain(pc, in, text)
+		}
+		if pc.Kind != KindDomain {
+			cm.Value = strings.Clone(cm.Value)
 		}
 		in.Cells[i] = cm
-		scores[i] = cm.Score
+		scores = append(scores, cm.Score)
 	}
-	in.Score = w.TNorm.Combine(scores)
+	in.Score = x.TNorm.Combine(scores)
 	return in
 }
 
@@ -271,16 +305,9 @@ func (w *Wrapper) matchPattern(p *RowPattern, cells []string) *Instance {
 // to items satisfying the cell's hierarchical relationship when one is
 // specified (footnote 4 of the paper); when no item satisfies it, the full
 // domain is used with a score penalty.
-func (w *Wrapper) matchDomain(pc PatternCell, in *Instance, text string) CellMatch {
-	if pc.SpecializationOf >= 0 && w.Hierarchy != nil {
-		parent := in.Cells[pc.SpecializationOf].Value
-		restricted := lexicon.NewDomain(pc.Domain.Name)
-		for _, item := range pc.Domain.Items() {
-			if w.Hierarchy.IsSpecializationOf(item, parent) {
-				restricted.Add(item)
-			}
-		}
-		if m, ok := restricted.BestMatch(text); ok {
+func (x *extraction) matchDomain(pc *PatternCell, in *Instance, text string) CellMatch {
+	if pc.SpecializationOf >= 0 && x.Hierarchy != nil {
+		if m, ok := x.restrict(pc, in.Cells[pc.SpecializationOf].Value).BestMatch(text); ok {
 			return CellMatch{Value: m.Item, Score: m.Score}
 		}
 		// No item specializes the parent: fall back, penalized.
@@ -293,6 +320,26 @@ func (w *Wrapper) matchDomain(pc PatternCell, in *Instance, text string) CellMat
 		return CellMatch{Value: m.Item, Score: m.Score}
 	}
 	return CellMatch{}
+}
+
+// restrict returns the items of the cell's domain that specialize parent,
+// in domain order, computing them on first use within the call.
+func (x *extraction) restrict(pc *PatternCell, parent string) *lexicon.Domain {
+	key := restriction{cell: pc, parent: parent}
+	if d, ok := x.restricted[key]; ok {
+		return d
+	}
+	d := lexicon.NewDomain(pc.Domain.Name)
+	for _, item := range pc.Domain.Items() {
+		if x.Hierarchy.IsSpecializationOf(item, parent) {
+			d.Add(item)
+		}
+	}
+	if x.restricted == nil {
+		x.restricted = map[restriction]*lexicon.Domain{}
+	}
+	x.restricted[key] = d
+	return d
 }
 
 // matchInteger scores integer literals: exact integers score 1; text whose
@@ -325,7 +372,7 @@ func matchInteger(text string) CellMatch {
 func matchReal(text string) CellMatch {
 	clean := strings.ReplaceAll(text, " ", "")
 	mantissa := strings.Replace(clean, ".", "", 1)
-	if isInt(strings.TrimPrefix(mantissa, "-")) {
+	if isInt(mantissa) {
 		return CellMatch{Value: clean, Score: 1}
 	}
 	return CellMatch{Value: text}

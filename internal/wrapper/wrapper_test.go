@@ -1,6 +1,7 @@
 package wrapper_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -357,5 +358,23 @@ func TestRealCellKind(t *testing.T) {
 	if wrapper.KindReal.String() != "Real" || wrapper.KindDomain.String() != "domain" ||
 		wrapper.KindInteger.String() != "Integer" || wrapper.KindString.String() != "String" {
 		t.Error("CellKind names")
+	}
+}
+
+// TestExtractRejectsGridBomb: 36 KB of HTML whose table pads 4000 empty
+// rows to the width of one row of 4000 cells would expand to 16 million grid
+// positions. Extract must refuse it before expanding, with little allocated.
+func TestExtractRejectsGridBomb(t *testing.T) {
+	doc := "<table><tr>" + strings.Repeat("<td>x", 4000) + strings.Repeat("<tr>", 4000) + "</table>"
+	w := budgetWrapper(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := w.Extract(doc)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.HasPrefix(err.Error(), "wrapper: table 0: ") {
+		t.Fatalf("Extract error = %v, want a table 0 grid error", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("Extract allocated %d bytes on a %d-byte document, want < 1 MiB", alloc, len(doc))
 	}
 }
