@@ -95,7 +95,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	solver, err := pickSolver(*solverName, *solverWork)
+	solver, err := dart.SolverNamed(*solverName, *solverWork)
 	if err != nil {
 		return err
 	}
@@ -224,16 +224,7 @@ func loadMetadata(file, scenarioName string) (*metadata.Metadata, error) {
 		}
 		return metadata.Parse(string(src))
 	}
-	switch scenarioName {
-	case "cashbudget":
-		return scenario.CashBudget()
-	case "catalog":
-		return scenario.Catalog()
-	case "balancesheet":
-		return scenario.BalanceSheet()
-	default:
-		return nil, fmt.Errorf("unknown scenario %q (want cashbudget, catalog or balancesheet)", scenarioName)
-	}
+	return scenario.Named(scenarioName)
 }
 
 func loadDocument(file string) (string, error) {
@@ -248,21 +239,4 @@ func loadDocument(file string) (string, error) {
 		return "", err
 	}
 	return string(src), nil
-}
-
-func pickSolver(name string, solverWorkers int) (core.Solver, error) {
-	switch name {
-	case "milp":
-		return &core.MILPSolver{Formulation: core.FormulationReduced, SolverWorkers: solverWorkers}, nil
-	case "milp-literal":
-		return &core.MILPSolver{Formulation: core.FormulationLiteral, SolverWorkers: solverWorkers}, nil
-	case "cardsearch":
-		return &core.CardinalitySearchSolver{}, nil
-	case "greedy-aggregate":
-		return &core.GreedyAggregateSolver{}, nil
-	case "greedy-local":
-		return &core.GreedyLocalSolver{}, nil
-	default:
-		return nil, fmt.Errorf("unknown solver %q", name)
-	}
 }

@@ -21,23 +21,9 @@ type statModel struct {
 	kindCount map[obs.EventKind]uint64
 	lastSeq   uint64
 	depth     int
-	jobs      map[string]*jobRow
-	order     []string // job IDs, oldest first
+	jobs      *obs.ProgressFold // the same per-job fold the progress endpoint serves
 	metrics   map[string]float64
 	streamErr string
-}
-
-// jobRow is one job line of the console, folded from its events.
-type jobRow struct {
-	ID        string
-	State     string
-	Gap       float64
-	Incumbent float64
-	Nodes     int64
-	Rate      float64
-	CompDone  int
-	CompTotal int
-	Seq       uint64 // last event seq, for recency sorting
 }
 
 // maxJobRows bounds both the retained fold state and the rendered table.
@@ -46,7 +32,7 @@ const maxJobRows = 16
 func newStatModel() *statModel {
 	return &statModel{
 		kindCount: make(map[obs.EventKind]uint64),
-		jobs:      make(map[string]*jobRow),
+		jobs:      obs.NewProgressFold(maxJobRows),
 		metrics:   make(map[string]float64),
 	}
 }
@@ -62,40 +48,7 @@ func (m *statModel) Observe(ev obs.Event) {
 	if ev.Kind == obs.KindQueue && ev.Name == "depth" {
 		m.depth = ev.Depth
 	}
-	if ev.JobID == "" {
-		return
-	}
-	row, ok := m.jobs[ev.JobID]
-	if !ok {
-		row = &jobRow{ID: ev.JobID, Gap: 1}
-		m.jobs[ev.JobID] = row
-		m.order = append(m.order, ev.JobID)
-		if len(m.order) > maxJobRows {
-			delete(m.jobs, m.order[0])
-			m.order = m.order[1:]
-		}
-	}
-	row.Seq = ev.Seq
-	switch ev.Kind {
-	case obs.KindJob:
-		row.State = ev.State
-	case obs.KindSolver:
-		row.Gap = ev.Gap
-		row.Incumbent = ev.Incumbent
-		if ev.Nodes > row.Nodes {
-			row.Nodes = ev.Nodes
-		}
-		if ev.NodesPerSec > 0 {
-			row.Rate = ev.NodesPerSec
-		}
-	case obs.KindComponent:
-		if ev.Name == "plan" {
-			row.CompTotal = ev.Total
-		} else if ev.Name == "done" {
-			row.CompDone = ev.Done
-			row.CompTotal = ev.Total
-		}
-	}
+	m.jobs.Observe(ev)
 }
 
 // LastSeq reports the highest event sequence number seen (the reconnect
@@ -161,20 +114,17 @@ func (m *statModel) Render(w io.Writer, now time.Time, clear bool) {
 		m.metric("dart_trace_spans_dropped_total"),
 		m.metric("dart_events_dropped_total"))
 
-	rows := make([]*jobRow, 0, len(m.jobs))
-	for _, id := range m.order {
-		rows = append(rows, m.jobs[id])
-	}
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i].Seq > rows[j].Seq })
+	rows := m.jobs.All()
+	sort.SliceStable(rows, func(i, j int) bool { return rows[i].LastSeq > rows[j].LastSeq })
 	fmt.Fprintf(w, "\n%-12s %-18s %10s %12s %10s %10s %9s\n",
 		"JOB", "STATE", "GAP", "INCUMBENT", "NODES", "NODES/S", "COMP")
 	for _, r := range rows {
 		comp := "-"
-		if r.CompTotal > 0 {
-			comp = strconv.Itoa(r.CompDone) + "/" + strconv.Itoa(r.CompTotal)
+		if r.ComponentsTotal > 0 {
+			comp = strconv.Itoa(r.ComponentsDone) + "/" + strconv.Itoa(r.ComponentsTotal)
 		}
 		fmt.Fprintf(w, "%-12s %-18s %9.1f%% %12.4g %10d %10.0f %9s\n",
-			r.ID, r.State, r.Gap*100, r.Incumbent, r.Nodes, r.Rate, comp)
+			r.JobID, r.State, r.Gap*100, r.Incumbent, r.Nodes, r.NodesPerSec, comp)
 	}
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -74,6 +75,58 @@ func TestModelFoldAndRender(t *testing.T) {
 	}
 	if m.LastSeq() != 5 {
 		t.Errorf("LastSeq = %d", m.LastSeq())
+	}
+}
+
+// TestModelSumsNodesAcrossScopes: a job whose two components report 128
+// and 50 search nodes shows 178, the figure the bus's progress endpoint
+// serves for the same events, not the larger scope's 128.
+func TestModelSumsNodesAcrossScopes(t *testing.T) {
+	events := []obs.Event{
+		{Seq: 1, Kind: obs.KindJob, Name: "state", JobID: "job-000001", State: "running"},
+		{Seq: 2, Kind: obs.KindSolver, Name: "progress", JobID: "job-000001", Scope: "component:0", Gap: 0.5, Nodes: 128},
+		{Seq: 3, Kind: obs.KindSolver, Name: "progress", JobID: "job-000001", Scope: "component:1", Gap: 0.25, Nodes: 50},
+	}
+	m := newStatModel()
+	bus := obs.NewBus(obs.BusConfig{})
+	for _, ev := range events {
+		m.Observe(ev)
+		bus.Publish(ev)
+	}
+	prog, _ := bus.Progress("job-000001")
+	if prog.Nodes != 178 {
+		t.Fatalf("progress endpoint nodes = %d, want 178", prog.Nodes)
+	}
+	var b strings.Builder
+	m.Render(&b, time.Now(), false)
+	var row string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if strings.HasPrefix(line, "job-000001") {
+			row = line
+		}
+	}
+	if fields := strings.Fields(row); len(fields) < 5 || fields[4] != "178" {
+		t.Fatalf("job row %q, want 178 nodes in the NODES column", row)
+	}
+}
+
+// TestModelKeepsRecentJobs: the table keeps at most maxJobRows jobs, most
+// recent first.
+func TestModelKeepsRecentJobs(t *testing.T) {
+	m := newStatModel()
+	for i := 1; i <= maxJobRows+4; i++ {
+		m.Observe(obs.Event{Seq: uint64(i), Kind: obs.KindJob, Name: "state", JobID: fmt.Sprintf("job-%06d", i), State: "running"})
+	}
+	var b strings.Builder
+	m.Render(&b, time.Now(), false)
+	var ids []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if strings.HasPrefix(line, "job-") {
+			ids = append(ids, strings.Fields(line)[0])
+		}
+	}
+	if len(ids) != maxJobRows || ids[0] != fmt.Sprintf("job-%06d", maxJobRows+4) || ids[len(ids)-1] != "job-000005" {
+		t.Fatalf("rendered jobs %v, want %d rows from job-%06d down to job-000005", ids, maxJobRows, maxJobRows+4)
 	}
 }
 

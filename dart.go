@@ -88,6 +88,27 @@ func ParseMetadata(src string) (*Metadata, error) { return metadata.Parse(src) }
 // the S*(AC) mixed-integer program (reduced formulation).
 func NewMILPSolver() Solver { return &core.MILPSolver{Formulation: core.FormulationReduced} }
 
+// SolverNamed returns the repair solver called name: milp (also ""),
+// milp-literal, cardsearch, greedy-aggregate or greedy-local. workers is
+// the branch-and-bound worker budget of the MILP solvers (0 = GOMAXPROCS);
+// the others ignore it.
+func SolverNamed(name string, workers int) (Solver, error) {
+	switch name {
+	case "", "milp":
+		return &core.MILPSolver{Formulation: core.FormulationReduced, SolverWorkers: workers}, nil
+	case "milp-literal":
+		return &core.MILPSolver{Formulation: core.FormulationLiteral, SolverWorkers: workers}, nil
+	case "cardsearch":
+		return &core.CardinalitySearchSolver{}, nil
+	case "greedy-aggregate":
+		return &core.GreedyAggregateSolver{}, nil
+	case "greedy-local":
+		return &core.GreedyLocalSolver{}, nil
+	default:
+		return nil, fmt.Errorf("unknown solver %q", name)
+	}
+}
+
 // Pipeline wires the DART architecture for one document class.
 type Pipeline struct {
 	// Metadata configures extraction and repairing (required).

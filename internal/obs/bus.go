@@ -131,8 +131,7 @@ type Bus struct {
 	drops  map[string]uint64 // cumulative drops per subscriber name
 	buffer int
 	now    func() time.Time
-	prog   map[string]*jobProgress // per-job live aggregate
-	order  []string                // progress job IDs, oldest first (eviction)
+	prog   *ProgressFold // per-job live aggregate
 }
 
 // progressCap bounds the per-job progress aggregates the bus retains;
@@ -157,7 +156,7 @@ func NewBus(cfg BusConfig) *Bus {
 		drops:  make(map[string]uint64),
 		buffer: cfg.Buffer,
 		now:    now,
-		prog:   make(map[string]*jobProgress),
+		prog:   NewProgressFold(progressCap),
 	}
 }
 
@@ -179,7 +178,7 @@ func (b *Bus) Publish(ev Event) {
 	if b.size < len(b.ring) {
 		b.size++
 	}
-	b.foldLocked(ev)
+	b.prog.Observe(ev)
 	for sub := range b.subs {
 		select {
 		case sub.ch <- ev:
@@ -324,6 +323,17 @@ type JobProgress struct {
 	UpdatedUnixNano int64   `json:"updated_unix_nano"`
 }
 
+// ProgressFold folds events into one JobProgress per job. It is the one
+// fold behind both the progress endpoint (the Bus keeps one under its
+// lock) and dartstat's job table. It retains at most a fixed number of
+// jobs: beyond it the oldest terminal job is evicted first; with none
+// terminal, the oldest. A ProgressFold is not safe for concurrent use.
+type ProgressFold struct {
+	limit int
+	jobs  map[string]*jobProgress
+	order []string // job IDs, oldest first (eviction)
+}
+
 // jobProgress is the internal fold state behind one JobProgress.
 type jobProgress struct {
 	JobProgress
@@ -332,18 +342,24 @@ type jobProgress struct {
 	scopeNodes map[string]int64   // cumulative nodes per search scope
 }
 
-// foldLocked folds one published event into the per-job aggregate; the
-// caller holds b.mu.
-func (b *Bus) foldLocked(ev Event) {
+// NewProgressFold returns a fold retaining at most limit jobs.
+func NewProgressFold(limit int) *ProgressFold {
+	return &ProgressFold{limit: limit, jobs: make(map[string]*jobProgress)}
+}
+
+// Observe folds one event into its job's aggregate. Nodes sums the
+// latest count of every search scope (one per solved component); events
+// without a job ID are ignored.
+func (f *ProgressFold) Observe(ev Event) {
 	if ev.JobID == "" {
 		return
 	}
-	jp := b.prog[ev.JobID]
+	jp := f.jobs[ev.JobID]
 	if jp == nil {
 		jp = &jobProgress{JobProgress: JobProgress{JobID: ev.JobID, Gap: 1, WorstGap: 1}}
-		b.prog[ev.JobID] = jp
-		b.order = append(b.order, ev.JobID)
-		b.evictProgressLocked()
+		f.jobs[ev.JobID] = jp
+		f.order = append(f.order, ev.JobID)
+		f.evict()
 	}
 	jp.LastSeq = ev.Seq
 	jp.UpdatedUnixNano = ev.UnixNano
@@ -401,13 +417,13 @@ func (b *Bus) foldLocked(ev Event) {
 	}
 }
 
-// evictProgressLocked bounds the progress map: beyond progressCap the
-// oldest terminal aggregate goes first; with none terminal, the oldest.
-func (b *Bus) evictProgressLocked() {
-	for len(b.prog) > progressCap {
+// evict bounds the fold: beyond its limit the oldest terminal aggregate
+// goes first; with none terminal, the oldest.
+func (f *ProgressFold) evict() {
+	for len(f.jobs) > f.limit {
 		victim := -1
-		for i, id := range b.order {
-			if b.prog[id].terminal {
+		for i, id := range f.order {
+			if f.jobs[id].terminal {
 				victim = i
 				break
 			}
@@ -415,9 +431,27 @@ func (b *Bus) evictProgressLocked() {
 		if victim < 0 {
 			victim = 0
 		}
-		delete(b.prog, b.order[victim])
-		b.order = append(b.order[:victim], b.order[victim+1:]...)
+		delete(f.jobs, f.order[victim])
+		f.order = append(f.order[:victim], f.order[victim+1:]...)
 	}
+}
+
+// Get returns the aggregate of one job, if any event for it was observed.
+func (f *ProgressFold) Get(jobID string) (JobProgress, bool) {
+	jp, ok := f.jobs[jobID]
+	if !ok {
+		return JobProgress{}, false
+	}
+	return jp.JobProgress, true
+}
+
+// All returns the retained aggregates, oldest job first.
+func (f *ProgressFold) All() []JobProgress {
+	out := make([]JobProgress, 0, len(f.order))
+	for _, id := range f.order {
+		out = append(out, f.jobs[id].JobProgress)
+	}
+	return out
 }
 
 // Progress returns the live aggregate of one job, if any event for it has
@@ -428,11 +462,7 @@ func (b *Bus) Progress(jobID string) (JobProgress, bool) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	jp, ok := b.prog[jobID]
-	if !ok {
-		return JobProgress{}, false
-	}
-	return jp.JobProgress, true
+	return b.prog.Get(jobID)
 }
 
 // AllProgress returns the retained per-job aggregates in job-ID order.
@@ -441,11 +471,8 @@ func (b *Bus) AllProgress() []JobProgress {
 		return nil
 	}
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]JobProgress, 0, len(b.prog))
-	for _, jp := range b.prog {
-		out = append(out, jp.JobProgress)
-	}
+	out := b.prog.All()
+	b.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].JobID < out[j].JobID })
 	return out
 }

@@ -236,6 +236,21 @@ func ensure() error {
 	return parseErr
 }
 
+// Named returns the parsed metadata of the built-in scenario called name:
+// cashbudget (also ""), catalog or balancesheet.
+func Named(name string) (*metadata.Metadata, error) {
+	switch name {
+	case "", "cashbudget":
+		return CashBudget()
+	case "catalog":
+		return Catalog()
+	case "balancesheet":
+		return BalanceSheet()
+	default:
+		return nil, fmt.Errorf("unknown scenario %q (want cashbudget, catalog or balancesheet)", name)
+	}
+}
+
 // CashBudget returns the parsed cash-budget metadata.
 func CashBudget() (*metadata.Metadata, error) {
 	if err := ensure(); err != nil {

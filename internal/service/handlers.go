@@ -8,6 +8,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 
+	"dart"
 	"dart/internal/analysis/specvet"
 )
 
@@ -90,7 +91,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	if _, err := resolveSolver(spec.Solver, spec.SolverWorkers); err != nil {
+	if _, err := dart.SolverNamed(spec.Solver, spec.SolverWorkers); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

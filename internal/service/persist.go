@@ -11,7 +11,7 @@ import (
 
 // This file is the bridge between the in-memory queue and the durable
 // job store: every queue mutation appends one record (submit, state
-// transition, result, spans-flushed), periodic snapshots absorb the log,
+// transition, result, repair event), periodic snapshots absorb the log,
 // and RecoverQueue replays snapshot + log back into a live queue at boot.
 //
 // Append ordering is the crash-safety argument: a job's result record is
@@ -136,23 +136,6 @@ func (q *Queue) appendResultLocked(job *Job) {
 		UnixNano: job.FinishedAt.UnixNano(),
 		JobID:    job.ID,
 		Blob:     blob,
-	})
-}
-
-// noteSpansFlushed records that a job's trace spans reached the exporter;
-// an audit-only frame correlating the WAL with trace output.
-func (q *Queue) noteSpansFlushed(job *Job, traceID string, spans int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.store == nil {
-		return
-	}
-	q.persistLocked(&store.Record{
-		Type:     store.RecSpans,
-		UnixNano: time.Now().UnixNano(),
-		JobID:    job.ID,
-		TraceID:  traceID,
-		Blob:     []byte(fmt.Sprintf(`{"spans":%d}`, spans)),
 	})
 }
 
@@ -426,8 +409,8 @@ func (q *Queue) applyRecordLocked(rec *store.Record, stats *RecoveryStats) {
 		}
 		job.Result = &res
 	case store.RecSpans:
-		// Audit-only: spans were flushed to the exporter; nothing to fold
-		// into queue state.
+		// Written only by older builds, as an audit marker after a job's
+		// spans were exported; nothing to fold into queue state.
 	case store.RecRepair:
 		job, ok := q.jobs[rec.JobID]
 		if !ok {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"dart"
-	"dart/internal/core"
 	"dart/internal/metadata"
 	"dart/internal/obs"
 	"dart/internal/scenario"
@@ -236,10 +235,6 @@ func (p *Pool) runJob(job *Job) {
 		span.SetStr("error", err.Error())
 	}
 	span.End()
-	if span != nil {
-		// Audit frame correlating the durable history with trace output.
-		p.Queue.noteSpansFlushed(job, span.TraceID(), len(span.Ended()))
-	}
 	if p.Logger != nil {
 		l := p.Logger.With("job_id", job.ID, "state", string(state),
 			"attempts", attempts, "duration_ms", time.Since(start).Milliseconds())
@@ -273,36 +268,7 @@ func ResolveMetadata(spec JobSpec) (*metadata.Metadata, error) {
 	if spec.Metadata != "" {
 		return metadata.Parse(spec.Metadata)
 	}
-	switch spec.Scenario {
-	case "", "cashbudget":
-		return scenario.CashBudget()
-	case "catalog":
-		return scenario.Catalog()
-	case "balancesheet":
-		return scenario.BalanceSheet()
-	default:
-		return nil, fmt.Errorf("service: unknown scenario %q (want cashbudget, catalog or balancesheet)", spec.Scenario)
-	}
-}
-
-// resolveSolver maps a spec's solver name to an implementation.
-// solverWorkers is the branch-and-bound worker budget handed to MILP
-// solvers (0 = GOMAXPROCS); the other solvers ignore it.
-func resolveSolver(name string, solverWorkers int) (core.Solver, error) {
-	switch name {
-	case "", "milp":
-		return &core.MILPSolver{Formulation: core.FormulationReduced, SolverWorkers: solverWorkers}, nil
-	case "milp-literal":
-		return &core.MILPSolver{Formulation: core.FormulationLiteral, SolverWorkers: solverWorkers}, nil
-	case "cardsearch":
-		return &core.CardinalitySearchSolver{}, nil
-	case "greedy-aggregate":
-		return &core.GreedyAggregateSolver{}, nil
-	case "greedy-local":
-		return &core.GreedyLocalSolver{}, nil
-	default:
-		return nil, fmt.Errorf("service: unknown solver %q", name)
-	}
+	return scenario.Named(spec.Scenario)
 }
 
 // PipelineRunner returns the production Runner: it resolves the spec's
@@ -341,7 +307,7 @@ func newPipeline(spec JobSpec, solverWorkers int) (*dart.Pipeline, error) {
 	if workers <= 0 {
 		workers = solverWorkers
 	}
-	solver, err := resolveSolver(spec.Solver, workers)
+	solver, err := dart.SolverNamed(spec.Solver, workers)
 	if err != nil {
 		return nil, err
 	}

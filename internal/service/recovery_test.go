@@ -511,3 +511,81 @@ func TestListPagination(t *testing.T) {
 	list(t, "?limit=-1", http.StatusBadRequest)
 	list(t, "?cursor=job-999999", http.StatusBadRequest)
 }
+
+// TestSucceededJobAppendsFourRecords pins what one job costs the store:
+// a job that succeeds on its first attempt appends exactly its submit,
+// running transition, result, and succeeded transition, in that order.
+func TestSucceededJobAppendsFourRecords(t *testing.T) {
+	mem := store.NewMem()
+	runner := func(ctx context.Context, spec JobSpec) (*ResultJSON, error) { return recoveryResult(), nil }
+	srv, err := New(Config{Workers: 1, Runner: runner, Store: mem, StoreSnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	v, err := srv.Queue().Submit(JobSpec{Document: "d"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, srv.Queue(), v.ID, func(v JobView) bool { return v.State.Terminal() })
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	var got []string
+	if _, err := mem.Replay(func(rec *store.Record) error {
+		got = append(got, rec.Type.String()+":"+rec.State)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"submit:queued", "transition:running", "result:", "transition:succeeded"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("one succeeded job appended %v, want %v", got, want)
+	}
+}
+
+// TestRecoverSkipsLegacySpansFrame: older builds appended a spans frame
+// (record type 4) after each job's running transition. A log holding one
+// must still recover the job, terminal with its result, and count no
+// orphan records.
+func TestRecoverSkipsLegacySpansFrame(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.OpenWAL(dir, store.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, _ := json.Marshal(JobSpec{Document: "d"})
+	result, _ := json.Marshal(recoveryResult())
+	for _, rec := range []*store.Record{
+		{Type: store.RecSubmit, UnixNano: 1, JobID: "job-000001", State: string(StateQueued), Blob: spec},
+		{Type: store.RecTransition, UnixNano: 2, JobID: "job-000001", State: string(StateRunning), Attempts: 1, TraceID: "00000000deadbeef"},
+		{Type: store.RecordType(4), UnixNano: 3, JobID: "job-000001", TraceID: "00000000deadbeef", Blob: []byte(`{"spans":9}`)},
+		{Type: store.RecResult, UnixNano: 4, JobID: "job-000001", Blob: result},
+		{Type: store.RecTransition, UnixNano: 4, JobID: "job-000001", State: string(StateSucceeded), Attempts: 1},
+	} {
+		if _, err := st.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Close()
+
+	st2, err := store.OpenWAL(dir, store.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	q, stats, err := RecoverQueue(8, st2, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Records != 5 || stats.Orphans != 0 || stats.Completed != 1 || stats.Requeued != 0 {
+		t.Errorf("recovery stats = %+v, want 5 records, 0 orphans, 1 completed, 0 requeued", stats)
+	}
+	v, ok := q.Get("job-000001")
+	if !ok || v.State != StateSucceeded || v.Result == nil || v.TraceID != "00000000deadbeef" {
+		t.Fatalf("recovered job = %+v (found %v), want succeeded with its result and trace ID", v, ok)
+	}
+}

@@ -64,8 +64,20 @@ type cursor struct {
 	off int
 }
 
+// uvarint decodes a minimally encoded uvarint, returning n <= 0 on
+// error. An overlong encoding, which the encoder never writes, is
+// rejected so that every accepted frame re-encodes to its own bytes.
+func uvarint(buf []byte) (uint64, int) {
+	v, n := binary.Uvarint(buf)
+	var minimal [binary.MaxVarintLen64]byte
+	if n > 0 && n != binary.PutUvarint(minimal[:], v) {
+		return 0, 0
+	}
+	return v, n
+}
+
 func (c *cursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(c.buf[c.off:])
+	v, n := uvarint(c.buf[c.off:])
 	if n <= 0 {
 		return 0, errCorrupt
 	}
@@ -73,13 +85,14 @@ func (c *cursor) uvarint() (uint64, error) {
 	return v, nil
 }
 
+// varint decodes a zig-zag varint through the minimal-uvarint check.
 func (c *cursor) varint() (int64, error) {
-	v, n := binary.Varint(c.buf[c.off:])
-	if n <= 0 {
-		return 0, errCorrupt
+	u, err := c.uvarint()
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
 	}
-	c.off += n
-	return v, nil
+	return v, err
 }
 
 func (c *cursor) bytes() ([]byte, error) {
@@ -156,7 +169,7 @@ func decodeBody(body []byte) (*Record, error) {
 // returns errCorrupt so the caller treats the offset as the end of the
 // valid log.
 func decodeFrame(buf []byte) (*Record, int, error) {
-	bodyLen, n := binary.Uvarint(buf)
+	bodyLen, n := uvarint(buf)
 	if n <= 0 || bodyLen > maxFrameBody {
 		return nil, 0, errCorrupt
 	}

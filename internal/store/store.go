@@ -1,15 +1,14 @@
 // Package store is dartd's durable job store: everything the in-memory
 // queue knows — submitted specs, state transitions, terminal results,
-// span-flush markers — is persisted as an append-only sequence of records
-// so a restarted server can replay its way back to the exact pre-crash
-// state.
+// suggestion-ledger events — is persisted as an append-only sequence of
+// records so a restarted server can replay its way back to the exact
+// pre-crash state.
 //
 // The flagship backend is a file-backed write-ahead log (WAL): records are
 // uvarint-length-prefixed binary frames, each carrying a CRC32, appended
-// to jobs.wal; a fixed-stride offset index (jobs.idx, 8 bytes per frame)
-// makes point lookup a single seek; periodic snapshots plus log truncation
-// bound disk usage. Recovery is one sequential replay: snapshot first,
-// then every frame with a sequence number past the snapshot. A torn tail
+// to jobs.wal; periodic snapshots (snapshot.bin) plus log truncation bound
+// disk usage. Recovery is one sequential replay: snapshot first, then
+// every frame with a sequence number past the snapshot. A torn tail
 // (partial final frame from a crash mid-write) is detected by the length
 // and CRC checks and cleanly truncated — replay never errors on it.
 //
@@ -36,9 +35,9 @@ const (
 	// Blob. It is appended before the terminal transition so a crash
 	// between the two re-runs the job instead of serving a half-state.
 	RecResult
-	// RecSpans marks that a job's trace spans were flushed to the span
-	// exporter; Blob carries a small JSON summary. Replay treats it as an
-	// audit-only frame.
+	// RecSpans is written only by older builds, which marked each job's
+	// span export with it. Replay skips it. It keeps its value so that
+	// RecRepair stays 5 and old logs still decode.
 	RecSpans
 	// RecRepair records one suggestion-ledger event of a validation
 	// session: State carries the event kind (proposed, accepted, rejected,

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -26,14 +27,13 @@ func TestWALTornWriteHardening(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idxRaw, err := os.ReadFile(filepath.Join(master, idxName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Start offset of the final frame, straight from the index.
-	lastStart := int64(0)
-	for i := 0; i < idxStride; i++ {
-		lastStart |= int64(idxRaw[(n-1)*idxStride+i]) << (8 * i)
+	// Start offset of the final frame, found by decoding the log.
+	starts := frameStarts(t, raw)
+	lastStart := int64(starts[n-1])
+	// The full-length offset index older builds kept beside the log.
+	var idxRaw []byte
+	for _, off := range starts {
+		idxRaw = binary.LittleEndian.AppendUint64(idxRaw, uint64(off))
 	}
 
 	for cut := int(lastStart); cut < len(raw); cut++ {
@@ -41,8 +41,8 @@ func TestWALTornWriteHardening(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, walName), raw[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// The stale full-length index rides along: recovery must distrust it.
-		if err := os.WriteFile(filepath.Join(dir, idxName), idxRaw, 0o644); err != nil {
+		// A stale index from an older build rides along: recovery must ignore it.
+		if err := os.WriteFile(filepath.Join(dir, "jobs.idx"), idxRaw, 0o644); err != nil {
 			t.Fatal(err)
 		}
 
@@ -63,10 +63,6 @@ func TestWALTornWriteHardening(t *testing.T) {
 		if fi, _ := os.Stat(filepath.Join(dir, walName)); fi.Size() != lastStart {
 			t.Fatalf("cut %d: repaired log size = %d, want %d", cut, fi.Size(), lastStart)
 		}
-		// …the index shrank to match…
-		if fi, _ := os.Stat(filepath.Join(dir, idxName)); fi.Size() != (n-1)*idxStride {
-			t.Fatalf("cut %d: index size = %d, want %d", cut, fi.Size(), (n-1)*idxStride)
-		}
 		// …and the store stays writable: the lost record can be re-appended.
 		if seq, err := tw.Append(testRecord(n - 1)); err != nil || seq != uint64(n) {
 			t.Fatalf("cut %d: append after repair seq=%d err=%v, want seq=%d", cut, seq, err, n)
@@ -79,6 +75,22 @@ func TestWALTornWriteHardening(t *testing.T) {
 	}
 }
 
+// frameStarts decodes a whole, valid log and returns each frame's start
+// offset.
+func frameStarts(t *testing.T, raw []byte) []int {
+	t.Helper()
+	var starts []int
+	for off := 0; off < len(raw); {
+		_, n, err := decodeFrame(raw[off:])
+		if err != nil {
+			t.Fatalf("frame at offset %d: %v", off, err)
+		}
+		starts = append(starts, off)
+		off += n
+	}
+	return starts
+}
+
 // TestWALCorruptMidFrame: a bit flip inside an interior frame ends the
 // valid log at the previous frame — replay stops cleanly rather than
 // delivering corrupt state.
@@ -89,7 +101,6 @@ func TestWALCorruptMidFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendN(t, w, 5)
-	third := w.offsets[3]
 	w.Close()
 
 	path := filepath.Join(dir, walName)
@@ -97,6 +108,7 @@ func TestWALCorruptMidFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	third := frameStarts(t, raw)[3]
 	raw[third+2] ^= 0xFF // corrupt frame 3's body
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -15,15 +16,12 @@ import (
 // File names inside a WAL directory.
 const (
 	walName     = "jobs.wal"     // uvarint-length-prefixed CRC32 frames
-	idxName     = "jobs.idx"     // fixed-stride frame offsets, 8 bytes LE each
 	snapName    = "snapshot.bin" // seq(8 LE) | crc32(blob)(4 LE) | blob
 	snapTmpName = "snapshot.tmp"
 )
 
-// idxStride is the fixed width of one index entry: the little-endian byte
-// offset of frame i in jobs.wal lives at i*idxStride in jobs.idx, so point
-// lookup is one seek into the index and one seek into the log.
-const idxStride = 8
+// snapHeader is the width of snapshot.bin's seq and CRC header.
+const snapHeader = 12
 
 // WALOptions tunes a write-ahead-log store.
 type WALOptions struct {
@@ -33,22 +31,22 @@ type WALOptions struct {
 	SyncEveryAppend bool
 }
 
-// WAL is the file-backed JobStore: an append-only frame log plus a
-// fixed-stride offset index and an atomically replaced snapshot. All
-// fields are guarded by mu.
+// WAL is the file-backed JobStore: an append-only frame log plus an
+// atomically replaced snapshot. The snapshot stays on disk; the WAL keeps
+// only its sequence and size, and Replay reads it back. All fields are
+// guarded by mu.
 type WAL struct {
 	mu         sync.Mutex
 	dir        string
 	fsyncEvery bool
 
 	wal     *os.File
-	idx     *os.File
-	tail    int64   // next append offset in jobs.wal
-	offsets []int64 // frame start offsets, mirror of jobs.idx
-	nextSeq uint64
+	tail    int64  // next append offset in jobs.wal
+	lastSeq uint64 // highest sequence in the log or snapshot
 
-	snapSeq   uint64 // last sequence the snapshot absorbs (0 = none)
-	snapBlob  []byte
+	haveSnap  bool   // a valid snapshot.bin was opened or written
+	snapSeq   uint64 // last sequence the snapshot absorbs
+	snapSize  int64  // length of the snapshot's state blob
 	sinceSnap int
 
 	appends       uint64
@@ -63,13 +61,13 @@ type WAL struct {
 
 // OpenWAL opens (creating if needed) the WAL store rooted at dir. Opening
 // validates the log tail: a torn final frame — truncated mid-write by a
-// crash — is detected by its length prefix or CRC and cut off, and the
-// offset index is rebuilt whenever it disagrees with the log.
+// crash — is detected by its length prefix or CRC and cut off. A jobs.idx
+// offset index left by older builds is ignored.
 func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
 	}
-	w := &WAL{dir: dir, fsyncEvery: opts.SyncEveryAppend, nextSeq: 1}
+	w := &WAL{dir: dir, fsyncEvery: opts.SyncEveryAppend}
 	if err := w.loadSnapshotLocked(); err != nil {
 		return nil, err
 	}
@@ -78,53 +76,48 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: opening %s: %w", walName, err)
 	}
-	w.idx, err = os.OpenFile(filepath.Join(dir, idxName), os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		_ = w.wal.Close()
-		return nil, fmt.Errorf("store: opening %s: %w", idxName, err)
-	}
 	if err := w.recoverTailLocked(); err != nil {
 		_ = w.wal.Close()
-		_ = w.idx.Close()
 		return nil, err
 	}
 	return w, nil
 }
 
-// loadSnapshotLocked runs during open, before the WAL is shared: it
-// reads snapshot.bin if present and structurally valid. A corrupt
-// snapshot (torn rename never happens — writes go through a tmp file —
-// but disks lie) is ignored rather than fatal: the log may still hold a
-// usable suffix.
-func (w *WAL) loadSnapshotLocked() error {
-	raw, err := os.ReadFile(filepath.Join(w.dir, snapName))
+// readSnapshot reads snapshot.bin from dir. ok is false when the file is
+// absent, shorter than its header, or fails its CRC (a torn rename never
+// happens — writes go through a tmp file — but disks lie); err reports
+// only a failed read.
+func readSnapshot(dir string) (seq uint64, blob []byte, ok bool, err error) {
+	raw, err := os.ReadFile(filepath.Join(dir, snapName))
 	if errors.Is(err, os.ErrNotExist) {
-		return nil
+		return 0, nil, false, nil
 	}
 	if err != nil {
-		return fmt.Errorf("store: reading snapshot: %w", err)
+		return 0, nil, false, fmt.Errorf("store: reading snapshot: %w", err)
 	}
-	if len(raw) < 12 {
-		return nil // torn or empty snapshot: ignore
+	if len(raw) < snapHeader || crc32.ChecksumIEEE(raw[snapHeader:]) != binary.LittleEndian.Uint32(raw[8:snapHeader]) {
+		return 0, nil, false, nil
 	}
-	seq := binary.LittleEndian.Uint64(raw[:8])
-	want := binary.LittleEndian.Uint32(raw[8:12])
-	blob := raw[12:]
-	if crc32.ChecksumIEEE(blob) != want {
-		return nil // corrupt snapshot: ignore
+	return binary.LittleEndian.Uint64(raw[:8]), raw[snapHeader:], true, nil
+}
+
+// loadSnapshotLocked runs during open, before the WAL is shared: it
+// remembers the sequence and size of a valid snapshot.bin. A missing or
+// corrupt snapshot is ignored rather than fatal: the log may still hold
+// a usable suffix.
+func (w *WAL) loadSnapshotLocked() error {
+	seq, blob, ok, err := readSnapshot(w.dir)
+	if !ok {
+		return err
 	}
-	w.snapSeq = seq
-	w.snapBlob = blob
-	if seq >= w.nextSeq {
-		w.nextSeq = seq + 1
-	}
+	w.haveSnap, w.snapSeq, w.snapSize = true, seq, int64(len(blob))
+	w.lastSeq = seq
 	return nil
 }
 
-// recoverTailLocked scans the log sequentially, records every valid
-// frame offset, truncates a torn tail, and rewrites the offset index
-// when it disagrees with the scan. Called from OpenWAL before the store
-// is shared, but takes the lock anyway so the helpers below stay *Locked.
+// recoverTailLocked scans the log sequentially and truncates a torn
+// tail. Called from OpenWAL before the store is shared, but takes the
+// lock anyway so the helpers below stay *Locked.
 func (w *WAL) recoverTailLocked() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -138,11 +131,8 @@ func (w *WAL) recoverTailLocked() error {
 		if err != nil {
 			break // torn or corrupt tail: the log ends at the last valid frame
 		}
-		w.offsets = append(w.offsets, int64(off))
-		if rec.Seq >= w.nextSeq {
-			w.nextSeq = rec.Seq + 1
-		}
-		if rec.Seq > w.snapSeq {
+		w.lastSeq = max(w.lastSeq, rec.Seq)
+		if !w.absorbedLocked(rec.Seq) {
 			w.sinceSnap++
 		}
 		off += n
@@ -153,50 +143,26 @@ func (w *WAL) recoverTailLocked() error {
 			return fmt.Errorf("store: truncating torn tail: %w", err)
 		}
 	}
-	return w.rewriteIdxLocked()
-}
-
-// rewriteIdxLocked makes jobs.idx agree with the in-memory offsets,
-// rewriting it only when the on-disk bytes differ.
-func (w *WAL) rewriteIdxLocked() error {
-	want := make([]byte, 0, len(w.offsets)*idxStride)
-	for _, off := range w.offsets {
-		want = binary.LittleEndian.AppendUint64(want, uint64(off))
-	}
-	if _, err := w.idx.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	have, err := io.ReadAll(w.idx)
-	if err != nil {
-		return fmt.Errorf("store: reading %s: %w", idxName, err)
-	}
-	if string(have) == string(want) {
-		return nil
-	}
-	if err := w.idx.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := w.idx.WriteAt(want, 0); err != nil {
-		return fmt.Errorf("store: rebuilding %s: %w", idxName, err)
-	}
 	return nil
 }
 
+// absorbedLocked reports whether the snapshot covers the record with
+// sequence seq, so replay must skip it.
+func (w *WAL) absorbedLocked(seq uint64) bool { return w.haveSnap && seq <= w.snapSeq }
+
 // Append implements JobStore: it assigns the record's sequence number,
-// writes one frame plus its index entry, and (in fsync mode) flushes the
-// log before returning.
+// writes one frame, and (in fsync mode) flushes the log before
+// returning.
 func (w *WAL) Append(rec *Record) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	rec.Seq = w.nextSeq
+	if w.lastSeq == math.MaxUint64 {
+		return 0, errors.New("store: sequence numbers exhausted")
+	}
+	rec.Seq = w.lastSeq + 1
 	w.buf = encodeFrame(w.buf[:0], rec)
 	if _, err := w.wal.WriteAt(w.buf, w.tail); err != nil {
 		return 0, fmt.Errorf("store: appending frame: %w", err)
-	}
-	var entry [idxStride]byte
-	binary.LittleEndian.PutUint64(entry[:], uint64(w.tail))
-	if _, err := w.idx.WriteAt(entry[:], int64(len(w.offsets))*idxStride); err != nil {
-		return 0, fmt.Errorf("store: appending index entry: %w", err)
 	}
 	if w.fsyncEvery {
 		if err := w.wal.Sync(); err != nil {
@@ -204,23 +170,38 @@ func (w *WAL) Append(rec *Record) (uint64, error) {
 		}
 		w.fsyncs++
 	}
-	w.offsets = append(w.offsets, w.tail)
 	w.tail += int64(len(w.buf))
-	w.nextSeq++
+	w.lastSeq++
 	w.appends++
 	w.appendBytes += uint64(len(w.buf))
 	w.sinceSnap++
 	return rec.Seq, nil
 }
 
-// Replay implements JobStore: one sequential read of the live log,
-// decoding each frame and delivering every record the snapshot does not
-// already absorb. The callback must not call back into the store.
+// Replay implements JobStore: it reads the snapshot back from disk, then
+// makes one sequential read of the live log, delivering every record the
+// snapshot does not already absorb. A snapshot that went missing, turned
+// corrupt or changed since it was opened or written is an error, not an
+// empty state: the log frames it absorbed are gone. The callback must
+// not call back into the store.
 func (w *WAL) Replay(fn func(*Record) error) ([]byte, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	start := time.Now()
 	w.replayRecords = 0
+	var snap []byte
+	if w.haveSnap {
+		seq, blob, ok, err := readSnapshot(w.dir)
+		if err != nil {
+			return nil, err
+		}
+		if !ok || seq != w.snapSeq || int64(len(blob)) != w.snapSize {
+			return nil, fmt.Errorf("store: %s no longer holds the snapshot through seq %d", snapName, w.snapSeq)
+		}
+		if len(blob) > 0 { // an empty state replays as nil, as in Mem
+			snap = blob
+		}
+	}
 	data := make([]byte, w.tail)
 	if _, err := w.wal.ReadAt(data, 0); err != nil && w.tail > 0 {
 		return nil, fmt.Errorf("store: reading log: %w", err)
@@ -235,7 +216,7 @@ func (w *WAL) Replay(fn func(*Record) error) ([]byte, error) {
 			break
 		}
 		off += n
-		if rec.Seq <= w.snapSeq {
+		if w.absorbedLocked(rec.Seq) {
 			continue
 		}
 		if err := fn(rec); err != nil {
@@ -244,10 +225,7 @@ func (w *WAL) Replay(fn func(*Record) error) ([]byte, error) {
 		w.replayRecords++
 	}
 	w.replaySeconds = time.Since(start).Seconds()
-	if w.snapBlob == nil {
-		return nil, nil
-	}
-	return append([]byte(nil), w.snapBlob...), nil
+	return snap, nil
 }
 
 // WriteSnapshot implements JobStore: state is written to a tmp file,
@@ -258,8 +236,8 @@ func (w *WAL) Replay(fn func(*Record) error) ([]byte, error) {
 func (w *WAL) WriteSnapshot(state []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	seq := w.nextSeq - 1
-	buf := make([]byte, 0, 12+len(state))
+	seq := w.lastSeq
+	buf := make([]byte, 0, snapHeader+len(state))
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(state))
 	buf = append(buf, state...)
@@ -287,23 +265,19 @@ func (w *WAL) WriteSnapshot(state []byte) error {
 	if err := w.syncDirLocked(); err != nil {
 		// The rename is not known durable: a crash could resurrect the old
 		// snapshot, so the log must keep every frame. Truncating here would
-		// risk losing both the snapshot and the records it absorbed.
+		// risk losing both the snapshot and the records it absorbed. The
+		// WAL keeps its old snapshot seq and size; if it had a snapshot,
+		// Replay now reports the replaced file.
 		return err
 	}
 
-	// The snapshot absorbs every appended frame: truncate the log and
-	// index so disk usage stays bounded by one snapshot plus the records
-	// appended since.
+	// The snapshot absorbs every appended frame: truncate the log so disk
+	// usage stays bounded by one snapshot plus the records appended since.
 	if err := w.wal.Truncate(0); err != nil {
 		return fmt.Errorf("store: truncating log: %w", err)
 	}
-	if err := w.idx.Truncate(0); err != nil {
-		return fmt.Errorf("store: truncating index: %w", err)
-	}
 	w.tail = 0
-	w.offsets = w.offsets[:0]
-	w.snapSeq = seq
-	w.snapBlob = append(w.snapBlob[:0], state...)
+	w.haveSnap, w.snapSeq, w.snapSize = true, seq, int64(len(state))
 	w.sinceSnap = 0
 	w.snapshots++
 	return nil
@@ -340,51 +314,15 @@ func (w *WAL) AppendsSinceSnapshot() int {
 	return w.sinceSnap
 }
 
-// Sync implements JobStore: flush the log and index to stable storage.
+// Sync implements JobStore: flush the log to stable storage.
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err := w.wal.Sync(); err != nil {
 		return fmt.Errorf("store: fsync: %w", err)
 	}
-	if err := w.idx.Sync(); err != nil {
-		return fmt.Errorf("store: fsync index: %w", err)
-	}
-	w.fsyncs += 2
+	w.fsyncs++
 	return nil
-}
-
-// Frames reports the number of live frames in the log.
-func (w *WAL) Frames() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.offsets)
-}
-
-// ReadFrame returns frame i via the offset index: one ReadAt into
-// jobs.idx for the offset, one ReadAt into jobs.wal for the frame — the
-// point-lookup path the fixed-stride index exists for.
-func (w *WAL) ReadFrame(i int) (*Record, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if i < 0 || i >= len(w.offsets) {
-		return nil, fmt.Errorf("store: frame %d out of range [0,%d)", i, len(w.offsets))
-	}
-	var entry [idxStride]byte
-	if _, err := w.idx.ReadAt(entry[:], int64(i)*idxStride); err != nil {
-		return nil, fmt.Errorf("store: index read: %w", err)
-	}
-	start := int64(binary.LittleEndian.Uint64(entry[:]))
-	end := w.tail
-	if i+1 < len(w.offsets) {
-		end = w.offsets[i+1]
-	}
-	buf := make([]byte, end-start)
-	if _, err := w.wal.ReadAt(buf, start); err != nil {
-		return nil, fmt.Errorf("store: frame read: %w", err)
-	}
-	rec, _, err := decodeFrame(buf)
-	return rec, err
 }
 
 // Stats implements JobStore.
@@ -397,16 +335,16 @@ func (w *WAL) Stats() Stats {
 		Fsyncs:        w.fsyncs,
 		Snapshots:     w.snapshots,
 		WALBytes:      w.tail,
-		SnapshotBytes: int64(len(w.snapBlob)),
+		SnapshotBytes: w.snapSize,
 		ReplaySeconds: w.replaySeconds,
 		ReplayRecords: w.replayRecords,
 	}
 }
 
-// Close flushes both files and closes them; every error is reported,
-// joined, so a failed final sync cannot hide behind a clean close.
+// Close flushes the log and closes it; both errors are reported, joined,
+// so a failed final sync cannot hide behind a clean close.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return errors.Join(w.wal.Sync(), w.idx.Sync(), w.wal.Close(), w.idx.Close())
+	return errors.Join(w.wal.Sync(), w.wal.Close())
 }

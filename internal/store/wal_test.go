@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -25,7 +27,7 @@ func testRecord(i int) *Record {
 }
 
 // appendN appends n deterministic records.
-func appendN(t *testing.T, s JobStore, n int) []*Record {
+func appendN(t testing.TB, s JobStore, n int) []*Record {
 	t.Helper()
 	recs := make([]*Record, 0, n)
 	for i := 0; i < n; i++ {
@@ -90,75 +92,6 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 	if seq != uint64(len(want))+1 {
 		t.Errorf("next seq = %d, want %d", seq, len(want)+1)
-	}
-}
-
-// TestWALPointLookup: the fixed-stride index serves random frame access.
-func TestWALPointLookup(t *testing.T) {
-	dir := t.TempDir()
-	w, err := OpenWAL(dir, WALOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	want := appendN(t, w, 40)
-	if w.Frames() != 40 {
-		t.Fatalf("frames = %d, want 40", w.Frames())
-	}
-	for _, i := range []int{0, 7, 13, 39} {
-		got, err := w.ReadFrame(i)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(got, want[i]) {
-			t.Errorf("frame %d:\n got %+v\nwant %+v", i, got, want[i])
-		}
-	}
-	if _, err := w.ReadFrame(40); err == nil {
-		t.Error("out-of-range lookup did not error")
-	}
-	// The index is exactly fixed-stride.
-	fi, err := os.Stat(filepath.Join(dir, idxName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi.Size() != 40*idxStride {
-		t.Errorf("index size = %d, want %d", fi.Size(), 40*idxStride)
-	}
-}
-
-// TestWALIndexRebuild: a deleted or mangled index file is rebuilt from the
-// log at open, and lookups still work.
-func TestWALIndexRebuild(t *testing.T) {
-	dir := t.TempDir()
-	w, err := OpenWAL(dir, WALOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := appendN(t, w, 10)
-	w.Close()
-
-	for name, mangle := range map[string]func(string) error{
-		"deleted": os.Remove,
-		"garbage": func(p string) error { return os.WriteFile(p, []byte("junk"), 0o644) },
-	} {
-		t.Run(name, func(t *testing.T) {
-			if err := mangle(filepath.Join(dir, idxName)); err != nil {
-				t.Fatal(err)
-			}
-			w2, err := OpenWAL(dir, WALOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer w2.Close()
-			got, err := w2.ReadFrame(9)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want[9]) {
-				t.Errorf("frame 9 after rebuild = %+v, want %+v", got, want[9])
-			}
-		})
 	}
 }
 
@@ -266,8 +199,8 @@ func TestWALStats(t *testing.T) {
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.Stats().Fsyncs; got < 5 {
-		t.Errorf("fsyncs after Sync = %d, want >= 5", got)
+	if got := w.Stats().Fsyncs; got < 4 {
+		t.Errorf("fsyncs after Sync = %d, want >= 4", got)
 	}
 	if err := w.WriteSnapshot([]byte("x")); err != nil {
 		t.Fatal(err)
@@ -298,8 +231,8 @@ func TestWALSnapshotDirSyncFailure(t *testing.T) {
 	if err := w.WriteSnapshot([]byte(`{"jobs":8}`)); err == nil {
 		t.Fatal("WriteSnapshot succeeded despite dir-sync failure")
 	}
-	if got := w.Frames(); got != len(recs) {
-		t.Fatalf("frames after failed snapshot = %d, want %d (log must not be truncated)", got, len(recs))
+	if got := w.Stats().WALBytes; got == 0 {
+		t.Fatal("log bytes after failed snapshot = 0, want non-zero (log must not be truncated)")
 	}
 	if got := w.AppendsSinceSnapshot(); got != len(recs) {
 		t.Errorf("appends since snapshot = %d, want %d", got, len(recs))
@@ -316,8 +249,8 @@ func TestWALSnapshotDirSyncFailure(t *testing.T) {
 	if err := w.WriteSnapshot([]byte(`{"jobs":8}`)); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.Frames(); got != 0 {
-		t.Errorf("frames after successful snapshot = %d, want 0", got)
+	if got := w.Stats().WALBytes; got != 0 {
+		t.Errorf("log bytes after successful snapshot = %d, want 0", got)
 	}
 }
 
@@ -337,5 +270,87 @@ func TestWALCloseReportsSyncFailure(t *testing.T) {
 	// sync/close rather than returning nil.
 	if err := w.Close(); err == nil {
 		t.Fatal("second Close returned nil, want error from closed files")
+	}
+}
+
+// TestWALDirHoldsLogAndSnapshot: the store's directory holds jobs.wal,
+// plus snapshot.bin once a snapshot is written, and nothing else.
+func TestWALDirHoldsLogAndSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWAL(dir, WALOptions{SyncEveryAppend: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	checkDir := func(names ...string) {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, e := range entries {
+			got = append(got, e.Name())
+		}
+		if !reflect.DeepEqual(got, names) {
+			t.Errorf("directory holds %v, want %v", got, names)
+		}
+	}
+	appendN(t, w, 4)
+	checkDir(walName)
+	if err := w.WriteSnapshot([]byte("S")); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, w, 2)
+	checkDir(walName, snapName)
+}
+
+// TestWALReplayDetectsReplacedSnapshot: the WAL keeps only the snapshot's
+// sequence and size, so Replay reads snapshot.bin back from disk. When the
+// file went missing, turned corrupt or carries another sequence since
+// open, Replay must fail instead of returning an empty state, because the
+// log frames the snapshot absorbed are already gone.
+func TestWALReplayDetectsReplacedSnapshot(t *testing.T) {
+	other := func(seq uint64) []byte {
+		state := []byte(`{"jobs":9}`)
+		raw := binary.LittleEndian.AppendUint64(nil, seq)
+		raw = binary.LittleEndian.AppendUint32(raw, crc32.ChecksumIEEE(state))
+		return append(raw, state...)
+	}
+	for name, replace := range map[string]func(path string) error{
+		"deleted":   os.Remove,
+		"garbage":   func(p string) error { return os.WriteFile(p, []byte("garbage snapshot"), 0o644) },
+		"other seq": func(p string) error { return os.WriteFile(p, other(99), 0o644) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := OpenWAL(dir, WALOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendN(t, w, 5)
+			if err := w.WriteSnapshot([]byte(`{"jobs":5}`)); err != nil {
+				t.Fatal(err)
+			}
+			appendN(t, w, 2)
+			w.Close()
+
+			w2, err := OpenWAL(dir, WALOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w2.Close()
+			if err := replace(filepath.Join(dir, snapName)); err != nil {
+				t.Fatal(err)
+			}
+			delivered := 0
+			snap, err := w2.Replay(func(*Record) error { delivered++; return nil })
+			if err == nil {
+				t.Fatalf("Replay over a replaced snapshot returned nil error (snapshot %q, %d records)", snap, delivered)
+			}
+			if delivered != 0 {
+				t.Errorf("Replay delivered %d records before failing, want 0", delivered)
+			}
+		})
 	}
 }
