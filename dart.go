@@ -25,6 +25,7 @@ package dart
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"dart/internal/aggrcons"
 	"dart/internal/convert"
@@ -148,6 +149,10 @@ type Acquisition struct {
 	// StringRepairs lists the dictionary corrections the wrapper applied to
 	// non-numerical strings during extraction (Section 6.2).
 	StringRepairs []StringRepair
+
+	// grounding is the ground set Violations came from; RepairContext
+	// translates it instead of grounding Database again.
+	grounding *aggrcons.Grounding
 }
 
 // Consistent reports whether the acquired database already satisfies the
@@ -214,8 +219,14 @@ func (p *Pipeline) AcquireContext(ctx context.Context, src string) (*Acquisition
 	if err != nil {
 		return nil, fmt.Errorf("dart: database generation: %w", err)
 	}
+	// The check grounds the database once; the acquisition keeps the
+	// grounding for the repairing module.
 	sp = parent.StartChild("stage.check")
-	viols, err := aggrcons.Check(db, p.Metadata.Constraints(), 1e-9)
+	g, err := aggrcons.NewGrounding(db, p.Metadata.Constraints())
+	var viols []Violation
+	if err == nil {
+		viols, err = g.Violations(1e-9)
+	}
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("dart: consistency check: %w", err)
@@ -232,6 +243,7 @@ func (p *Pipeline) AcquireContext(ctx context.Context, src string) (*Acquisition
 		Database:      db,
 		Violations:    viols,
 		StringRepairs: repairs,
+		grounding:     g,
 	}, nil
 }
 
@@ -245,11 +257,17 @@ func (p *Pipeline) Repair(acq *Acquisition) (*Result, error) {
 // (the default MILP solver is one) a long solve aborts with ctx.Err() at
 // the next branch-and-bound node once ctx is done.
 //
-// The repair problem is prepared (grounded and decomposed) exactly once;
-// the solve — and, with an Operator, every iteration of the validation
-// loop — re-solves the prepared problem. Under ctx's span the repairing
-// module is one "stage.solver" span holding one "stage.prepare" span and
-// a "stage.resolve" span per repair computation.
+// The repair problem is prepared (translated into rows and decomposed)
+// exactly once, from the grounding the acquisition's check built; an
+// acquisition without one, or whose Database was replaced, is grounded
+// here. The solve — and, with an Operator, every iteration of the
+// validation loop — re-solves the prepared problem. Without an Operator
+// or a Decider the solver's repair is checked against every row at
+// absolute tolerance 1e-6, which accepts exactly what re-checking the
+// repaired database would, and applied to a copy of Database
+// (Problem.Repaired). Under ctx's span the repairing module is one
+// "stage.solver" span holding one "stage.prepare" span and a
+// "stage.resolve" span per repair computation.
 func (p *Pipeline) RepairContext(ctx context.Context, acq *Acquisition) (*Result, error) {
 	res := &Result{Acquisition: acq}
 	solver := p.Solver
@@ -264,7 +282,7 @@ func (p *Pipeline) RepairContext(ctx context.Context, acq *Acquisition) (*Result
 	solverSpan := obs.FromContext(ctx).StartChild("stage.solver")
 	sctx := obs.ContextWithSpan(ctx, solverSpan)
 	prepSpan := solverSpan.StartChild("stage.prepare")
-	prob, err := core.Prepare(acq.Database, p.Metadata.Constraints())
+	prob, err := p.prepare(acq)
 	if prepSpan != nil && err == nil {
 		prepSpan.SetInt("vars", prob.N())
 		prepSpan.SetInt("rows", len(prob.System().Rows))
@@ -285,7 +303,7 @@ func (p *Pipeline) RepairContext(ctx context.Context, acq *Acquisition) (*Result
 		if r.Repair == nil {
 			return nil, fmt.Errorf("dart: no repair found (status %v)", r.Status)
 		}
-		repaired, err := core.VerifyRepairs(acq.Database, p.Metadata.Constraints(), r.Repair, 1e-6)
+		repaired, err := prob.Repaired(r.Repair)
 		if err != nil {
 			return nil, err
 		}
@@ -319,6 +337,21 @@ func (p *Pipeline) RepairContext(ctx context.Context, acq *Acquisition) (*Result
 	res.ComponentsReused = out.ComponentsReused
 	res.SolverNodes = out.SolverNodes
 	return res, nil
+}
+
+// prepare translates the acquisition's grounding into the repair problem,
+// grounding acq.Database first when the acquisition carries no grounding
+// of it under the pipeline's constraints.
+func (p *Pipeline) prepare(acq *Acquisition) (*core.Problem, error) {
+	acs := p.Metadata.Constraints()
+	g := acq.grounding
+	if g == nil || g.Database() != acq.Database || !slices.Equal(g.Constraints(), acs) {
+		var err error
+		if g, err = aggrcons.NewGrounding(acq.Database, acs); err != nil {
+			return nil, err
+		}
+	}
+	return core.PrepareGrounded(g)
 }
 
 // Process runs the complete pipeline on one document.

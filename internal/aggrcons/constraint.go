@@ -2,8 +2,6 @@ package aggrcons
 
 import (
 	"fmt"
-	"slices"
-	"sort"
 	"strings"
 
 	"dart/internal/relational"
@@ -283,31 +281,66 @@ func (g *Ground) String() string {
 // db: one Ground per ground substitution theta making the body true, with
 // duplicates (substitutions agreeing on every call argument) merged.
 func (k *Constraint) GroundAll(db *relational.Database) ([]*Ground, error) {
-	grounds, _, err := k.groundAll(db)
-	return grounds, err
+	if err := k.Validate(db); err != nil {
+		return nil, err
+	}
+	grounds, _ := k.groundAll(db)
+	return grounds, nil
 }
 
-// groundAll is GroundAll that also returns each ground's deduplication key,
-// built from the substitution before the Ground is allocated.
-func (k *Constraint) groundAll(db *relational.Database) ([]*Ground, []string, error) {
-	if err := k.Validate(db); err != nil {
-		return nil, nil, err
+// groundAll is GroundAll on a validated constraint that also returns each
+// ground's deduplication key, built from the substitution before the
+// Ground is allocated.
+func (k *Constraint) groundAll(db *relational.Database) ([]*Ground, []string) {
+	// Number the variables in order of first appearance in the body; the
+	// substitution is a slice indexed by that number. Validate guarantees
+	// every call variable occurs in the body.
+	slots := map[string]int{}
+	var names []string
+	slotOf := func(args []ArgTerm) []int {
+		out := make([]int, len(args))
+		for i, a := range args {
+			out[i] = -1
+			if a.kind != argVar {
+				continue
+			}
+			s, ok := slots[a.name]
+			if !ok {
+				s = len(names)
+				slots[a.name] = s
+				names = append(names, a.name)
+			}
+			out[i] = s
+		}
+		return out
 	}
-	var out []*Ground
-	var keys []string
-	seen := map[string]bool{}
-	binding := map[string]relational.Value{}
-
-	// relevant variables: those appearing in some call.
-	relevant := map[string]bool{}
-	for _, call := range k.Calls {
-		for _, a := range call.Args {
-			if name, ok := a.IsVar(); ok {
-				relevant[name] = true
+	atomSlots := make([][]int, len(k.Body))
+	for i, atom := range k.Body {
+		atomSlots[i] = slotOf(atom.Args)
+	}
+	callSlots := make([][]int, len(k.Calls))
+	nargs := 0
+	for i, call := range k.Calls {
+		callSlots[i] = slotOf(call.Args)
+		nargs += len(call.Args)
+	}
+	// relevant lists the slots of the variables appearing in some call.
+	var relevant []int
+	inCall := make([]bool, len(names))
+	for i := range k.Calls {
+		for _, s := range callSlots[i] {
+			if s >= 0 && !inCall[s] {
+				inCall[s] = true
+				relevant = append(relevant, s)
 			}
 		}
 	}
+	binding := make([]relational.Value, len(names))
+	isBound := make([]bool, len(names))
 
+	var out []*Ground
+	var keys []string
+	seen := map[string]bool{}
 	// args holds the current substitution's call arguments; a new Ground
 	// copies them only when their key has not been seen.
 	args := make([][]relational.Value, len(k.Calls))
@@ -318,8 +351,8 @@ func (k *Constraint) groundAll(db *relational.Database) ([]*Ground, []string, er
 	emit := func() {
 		for i, call := range k.Calls {
 			for j, a := range call.Args {
-				if name, ok := a.IsVar(); ok {
-					args[i][j] = binding[name]
+				if s := callSlots[i][j]; s >= 0 {
+					args[i][j] = binding[s]
 				} else {
 					args[i][j] = a.val
 				}
@@ -332,16 +365,24 @@ func (k *Constraint) groundAll(db *relational.Database) ([]*Ground, []string, er
 		ks := string(key)
 		seen[ks] = true
 		g := &Ground{Source: k, Binding: make(Binding, len(relevant)), Args: make([][]relational.Value, len(k.Calls))}
-		for name := range relevant {
-			g.Binding[name] = binding[name]
+		for _, s := range relevant {
+			g.Binding[names[s]] = binding[s]
 		}
+		// One backing array holds every call's arguments; each call's
+		// slice is capped so an append cannot run into the next.
+		flat := make([]relational.Value, 0, nargs)
 		for i := range args {
-			g.Args[i] = slices.Clone(args[i])
+			off := len(flat)
+			flat = append(flat, args[i]...)
+			g.Args[i] = flat[off:len(flat):len(flat)]
 		}
 		out = append(out, g)
 		keys = append(keys, ks)
 	}
 
+	// bound stacks the slots each level of the match bound; a level
+	// unbinds and truncates back to its mark after every tuple.
+	var bound []int
 	var match func(atomIdx int)
 	match = func(atomIdx int) {
 		if atomIdx == len(k.Body) {
@@ -350,8 +391,8 @@ func (k *Constraint) groundAll(db *relational.Database) ([]*Ground, []string, er
 		}
 		atom := k.Body[atomIdx]
 		rel := db.Relation(atom.Relation)
+		mark := len(bound)
 		for _, t := range rel.Tuples() {
-			var bound []string
 			ok := true
 			for i, a := range atom.Args {
 				switch a.kind {
@@ -362,13 +403,15 @@ func (k *Constraint) groundAll(db *relational.Database) ([]*Ground, []string, er
 						ok = false
 					}
 				case argVar:
-					if prev, has := binding[a.name]; has {
-						if !prev.Equal(t.At(i)) {
+					s := atomSlots[atomIdx][i]
+					if isBound[s] {
+						if !binding[s].Equal(t.At(i)) {
 							ok = false
 						}
 					} else {
-						binding[a.name] = t.At(i)
-						bound = append(bound, a.name)
+						binding[s] = t.At(i)
+						isBound[s] = true
+						bound = append(bound, s)
 					}
 				}
 				if !ok {
@@ -378,13 +421,14 @@ func (k *Constraint) groundAll(db *relational.Database) ([]*Ground, []string, er
 			if ok {
 				match(atomIdx + 1)
 			}
-			for _, name := range bound {
-				delete(binding, name)
+			for _, s := range bound[mark:] {
+				isBound[s] = false
 			}
+			bound = bound[:mark]
 		}
 	}
 	match(0)
-	return out, keys, nil
+	return out, keys
 }
 
 // Violation reports one ground constraint that does not hold, with the
@@ -400,26 +444,12 @@ func (v Violation) String() string {
 }
 
 // Check evaluates every constraint on db and returns the violations
-// (D |= AC iff the result is empty). eps is the numeric tolerance.
+// (D |= AC iff the result is empty), ordered by ground key. eps is the
+// numeric tolerance.
 func Check(db *relational.Database, acs []*Constraint, eps float64) ([]Violation, error) {
-	var out []Violation
-	ev := NewEvaluator(db)
-	for _, k := range acs {
-		grounds, err := k.GroundAll(db)
-		if err != nil {
-			return nil, err
-		}
-		for _, g := range grounds {
-			lhs, err := ev.LHS(g)
-			if err != nil {
-				return nil, err
-			}
-			if !g.satisfiedBy(lhs, eps) {
-				out = append(out, Violation{Ground: g, LHS: lhs})
-			}
-		}
+	g, err := NewGrounding(db, acs)
+	if err != nil {
+		return nil, err
 	}
-	// Deterministic order for reporting.
-	sort.Slice(out, func(i, j int) bool { return out[i].Ground.Key() < out[j].Ground.Key() })
-	return out, nil
+	return g.Violations(eps)
 }

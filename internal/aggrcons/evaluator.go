@@ -9,7 +9,7 @@ import (
 )
 
 // Evaluator answers aggregation calls chi(args) on one database for the
-// length of one pass over a constraint set (one Check, one BuildSystem).
+// length of one pass over a constraint set (one NewGrounding).
 //
 // The first time it meets a function it splits the function's relation into
 // buckets keyed on the values of the WHERE clause's top-level Attr = Param

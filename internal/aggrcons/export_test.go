@@ -5,5 +5,9 @@ import "dart/internal/relational"
 // GroundAllKeys is GroundAll together with the deduplication key it built
 // for each ground before allocating it.
 func GroundAllKeys(k *Constraint, db *relational.Database) ([]*Ground, []string, error) {
-	return k.groundAll(db)
+	if err := k.Validate(db); err != nil {
+		return nil, nil, err
+	}
+	grounds, keys := k.groundAll(db)
+	return grounds, keys, nil
 }

@@ -86,29 +86,34 @@ func (s *CardinalitySearchSolver) SolveProblem(ctx context.Context, prob *Proble
 }
 
 // violatedRows evaluates every row of the system at the given values and
-// returns the indexes of rows that do not hold.
+// returns the indexes of rows that do not hold within the relative
+// tolerance eps*(1+|RHS|).
 func violatedRows(sys *System, vals []float64, eps float64) []int {
 	var out []int
-	for ri, row := range sys.Rows {
-		lhs := 0.0
-		for idx, c := range row.Coeffs {
-			lhs += c * vals[idx]
-		}
-		scale := eps * (1 + math.Abs(row.RHS))
-		ok := false
-		switch row.Rel {
-		case aggrcons.LE:
-			ok = lhs <= row.RHS+scale
-		case aggrcons.GE:
-			ok = lhs >= row.RHS-scale
-		default:
-			ok = math.Abs(lhs-row.RHS) <= scale
-		}
-		if !ok {
+	for ri := range sys.Rows {
+		row := &sys.Rows[ri]
+		if !row.holds(vals, eps*(1+math.Abs(row.RHS))) {
 			out = append(out, ri)
 		}
 	}
 	return out
+}
+
+// holds reports whether the row is satisfied at vals within the absolute
+// tolerance tol.
+func (row *LinearRow) holds(vals []float64, tol float64) bool {
+	lhs := 0.0
+	for idx, c := range row.Coeffs {
+		lhs += c * vals[idx]
+	}
+	switch row.Rel {
+	case aggrcons.LE:
+		return lhs <= row.RHS+tol
+	case aggrcons.GE:
+		return lhs >= row.RHS-tol
+	default:
+		return math.Abs(lhs-row.RHS) <= tol
+	}
 }
 
 // componentItems returns the unfrozen items of every row-item connected

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"dart/internal/aggrcons"
@@ -65,10 +66,20 @@ func (s *System) Occurrences() []int {
 // those the tuple sets T_chi cannot be determined without reading measure
 // values and the translation of Section 5 is unsound.
 func BuildSystem(db *relational.Database, acs []*aggrcons.Constraint) (*System, error) {
+	g, err := aggrcons.NewGrounding(db, acs)
+	if err != nil {
+		return nil, err
+	}
+	return buildSystem(g)
+}
+
+// buildSystem translates a grounding into S(AC), reading each call's
+// T_chi from the grounding. Rows are named k#gi after the constraint and
+// the ground's index among all the constraint's grounds, including those
+// whose rows are dropped.
+func buildSystem(g *aggrcons.Grounding) (*System, error) {
+	db, acs := g.Database(), g.Constraints()
 	for _, k := range acs {
-		if err := k.Validate(db); err != nil {
-			return nil, err
-		}
 		if !k.IsSteady(db) {
 			return nil, fmt.Errorf("core: constraint %s is not steady (measure attributes %v occur in A(k) or J(k))",
 				k.Name, k.SteadyViolations(db))
@@ -77,21 +88,27 @@ func BuildSystem(db *relational.Database, acs []*aggrcons.Constraint) (*System, 
 
 	// Enumerate all measure values in deterministic order (relation
 	// registration order, tuple insertion order, scheme attribute order) so
-	// that z_1..z_N match the paper's tuple-order numbering.
+	// that z_1..z_N match the paper's tuple-order numbering. A measure item
+	// is all[base[t]+offset[relation][attr]].
 	var all []Item
 	var allTuples []*relational.Tuple // parallel to all
-	allIdx := map[Item]int{}
+	base := map[*relational.Tuple]int{}
+	offset := map[string]map[string]int{}
 	for _, relName := range db.RelationNames() {
 		rel := db.Relation(relName)
 		measures := db.MeasuresOf(relName)
 		if len(measures) == 0 {
 			continue
 		}
+		off := make(map[string]int, len(measures))
+		for i, attr := range measures {
+			off[attr] = i
+		}
+		offset[relName] = off
 		for _, t := range rel.Tuples() {
+			base[t] = len(all)
 			for _, attr := range measures {
-				it := Item{Relation: relName, TupleID: t.ID(), Attr: attr}
-				allIdx[it] = len(all)
-				all = append(all, it)
+				all = append(all, Item{Relation: relName, TupleID: t.ID(), Attr: attr})
 				allTuples = append(allTuples, t)
 			}
 		}
@@ -105,50 +122,38 @@ func BuildSystem(db *relational.Database, acs []*aggrcons.Constraint) (*System, 
 		ground *aggrcons.Ground
 	}
 	var raw []rawRow
-	ev := aggrcons.NewEvaluator(db)
-	for _, k := range acs {
-		grounds, err := k.GroundAll(db)
-		if err != nil {
-			return nil, err
-		}
+	for ki, k := range acs {
+		terms := make([][]formTerm, len(k.Calls))
+		termErrs := make([]error, len(k.Calls))
 		forms := make([]aggrcons.LinearForm, len(k.Calls))
 		for ci, call := range k.Calls {
 			forms[ci] = aggrcons.Linearize(call.Func.Expr)
+			terms[ci], termErrs[ci] = formTerms(db, k, call.Func, forms[ci], offset[call.Func.Relation])
 		}
-		for gi, g := range grounds {
+		for gi, gr := range g.Grounds(ki) {
 			row := rawRow{
-				name:   fmt.Sprintf("%s#%d", k.Name, gi),
+				name:   k.Name + "#" + strconv.Itoa(gi),
 				coeffs: map[int]float64{},
 				rel:    k.Rel,
 				rhs:    k.K,
-				ground: g,
+				ground: gr,
 			}
 			for ci, call := range k.Calls {
-				lf := forms[ci]
-				tuples, err := ev.Tuples(call.Func, g.Args[ci])
-				if err != nil {
-					return nil, err
-				}
+				tuples := g.Tuples(ki, gi, ci)
 				// Constant summand: e_const * |T_chi| (the paper's
 				// P(chi) = e * |T_chi| case).
-				row.rhs -= call.Coeff * lf.Const * float64(len(tuples))
+				row.rhs -= call.Coeff * forms[ci].Const * float64(len(tuples))
+				if len(tuples) > 0 && termErrs[ci] != nil {
+					return nil, termErrs[ci]
+				}
 				for _, t := range tuples {
-					for attr, c := range lf.Coeffs {
-						dom, err := t.Schema().DomainOf(attr)
-						if err != nil {
-							return nil, fmt.Errorf("core: constraint %s: %w", k.Name, err)
-						}
-						if !dom.Numerical() {
-							return nil, fmt.Errorf("core: constraint %s sums non-numerical attribute %s.%s",
-								k.Name, call.Func.Relation, attr)
-						}
-						it := Item{Relation: call.Func.Relation, TupleID: t.ID(), Attr: attr}
-						if idx, isMeasure := allIdx[it]; isMeasure && db.IsMeasure(it.Relation, it.Attr) {
-							row.coeffs[idx] += call.Coeff * c
+					for _, ft := range terms[ci] {
+						if ft.offset >= 0 {
+							row.coeffs[base[t]+ft.offset] += call.Coeff * ft.c
 						} else {
 							// Non-measure numerical attribute: its value is
 							// fixed, so it contributes a constant.
-							row.rhs -= call.Coeff * c * t.Get(attr).AsFloat()
+							row.rhs -= call.Coeff * ft.c * t.At(ft.pos).AsFloat()
 						}
 					}
 				}
@@ -180,37 +185,72 @@ func BuildSystem(db *relational.Database, acs []*aggrcons.Constraint) (*System, 
 	}
 
 	// Keep only the involved values, preserving global order.
-	used := map[int]bool{}
+	used := make([]bool, len(all))
 	for _, r := range raw {
 		for idx := range r.coeffs {
 			used[idx] = true
 		}
 	}
-	keep := make([]int, 0, len(used))
-	for idx := range used {
-		keep = append(keep, idx)
-	}
-	sort.Ints(keep)
-	remap := map[int]int{}
-	sys := &System{index: map[Item]int{}}
-	for newIdx, oldIdx := range keep {
-		remap[oldIdx] = newIdx
-		it := all[oldIdx]
+	remap := make([]int, len(all))
+	sys := &System{}
+	for oldIdx, it := range all {
+		if !used[oldIdx] {
+			continue
+		}
+		remap[oldIdx] = len(sys.Items)
 		sys.Items = append(sys.Items, it)
-		sys.index[it] = newIdx
 		t := allTuples[oldIdx]
 		sys.V = append(sys.V, t.Get(it.Attr).AsFloat())
 		dom, _ := t.Schema().DomainOf(it.Attr)
 		sys.Domains = append(sys.Domains, dom)
 	}
+	sys.index = make(map[Item]int, len(sys.Items))
+	for i, it := range sys.Items {
+		sys.index[it] = i
+	}
+	sys.Rows = make([]LinearRow, 0, len(raw))
 	for _, r := range raw {
-		row := LinearRow{Name: r.name, Coeffs: map[int]float64{}, Rel: r.rel, RHS: r.rhs, Ground: r.ground}
+		row := LinearRow{Name: r.name, Coeffs: make(map[int]float64, len(r.coeffs)), Rel: r.rel, RHS: r.rhs, Ground: r.ground}
 		for oldIdx, c := range r.coeffs {
 			row.Coeffs[remap[oldIdx]] = c
 		}
 		sys.Rows = append(sys.Rows, row)
 	}
 	return sys, nil
+}
+
+// formTerm is one attribute term c*A of a call's linearized sum
+// expression, resolved against the call's relation: A sits at position
+// pos of the scheme and, when it is a measure, at offset among the
+// relation's measures (-1 otherwise).
+type formTerm struct {
+	c      float64
+	pos    int
+	offset int
+}
+
+// formTerms resolves the attribute terms of a call's linear form. The
+// error, for an unknown or non-numerical attribute, applies only to calls
+// whose T_chi is not empty.
+func formTerms(db *relational.Database, k *aggrcons.Constraint, f *aggrcons.AggFunc, lf aggrcons.LinearForm, measureOffset map[string]int) ([]formTerm, error) {
+	schema := db.Relation(f.Relation).Schema()
+	out := make([]formTerm, 0, len(lf.Coeffs))
+	for attr, c := range lf.Coeffs {
+		dom, err := schema.DomainOf(attr)
+		if err != nil {
+			return nil, fmt.Errorf("core: constraint %s: %w", k.Name, err)
+		}
+		if !dom.Numerical() {
+			return nil, fmt.Errorf("core: constraint %s sums non-numerical attribute %s.%s",
+				k.Name, f.Relation, attr)
+		}
+		off, isMeasure := measureOffset[attr]
+		if !isMeasure {
+			off = -1
+		}
+		out = append(out, formTerm{c: c, pos: schema.AttrIndex(attr), offset: off})
+	}
+	return out, nil
 }
 
 // Split partitions the system into its connected components: two items are
@@ -247,19 +287,23 @@ func (s *System) Split() []*System {
 			}
 		}
 	}
-	// Group item indices by root, preserving order.
-	groups := map[int][]int{}
-	var roots []int
+	// Group item indices by root, preserving order: comp numbers the roots
+	// in order of first appearance.
+	comp := make([]int, len(s.Items))
+	for i := range comp {
+		comp[i] = -1
+	}
+	var groups [][]int
 	for i := range s.Items {
 		r := find(i)
-		if _, seen := groups[r]; !seen {
-			roots = append(roots, r)
+		if comp[r] < 0 {
+			comp[r] = len(groups)
+			groups = append(groups, nil)
 		}
-		groups[r] = append(groups[r], i)
+		groups[comp[r]] = append(groups[comp[r]], i)
 	}
-	var out []*System
 	var emptyRows []LinearRow
-	rowsByRoot := map[int][]LinearRow{}
+	rowsByComp := make([][]LinearRow, len(groups))
 	for _, row := range s.Rows {
 		first := -1
 		for idx := range row.Coeffs {
@@ -270,22 +314,28 @@ func (s *System) Split() []*System {
 			emptyRows = append(emptyRows, row)
 			continue
 		}
-		r := find(first)
-		rowsByRoot[r] = append(rowsByRoot[r], row)
+		ci := comp[find(first)]
+		rowsByComp[ci] = append(rowsByComp[ci], row)
 	}
-	for _, r := range roots {
-		idxs := groups[r]
-		sub := &System{index: map[Item]int{}}
-		remap := map[int]int{}
+	// Components partition the items, so one remap serves them all.
+	remap := make([]int, len(s.Items))
+	var out []*System
+	for ci, idxs := range groups {
+		sub := &System{
+			Items:   make([]Item, len(idxs)),
+			V:       make([]float64, len(idxs)),
+			Domains: make([]relational.Domain, len(idxs)),
+			index:   make(map[Item]int, len(idxs)),
+		}
 		for newIdx, oldIdx := range idxs {
 			remap[oldIdx] = newIdx
-			sub.Items = append(sub.Items, s.Items[oldIdx])
+			sub.Items[newIdx] = s.Items[oldIdx]
 			sub.index[s.Items[oldIdx]] = newIdx
-			sub.V = append(sub.V, s.V[oldIdx])
-			sub.Domains = append(sub.Domains, s.Domains[oldIdx])
+			sub.V[newIdx] = s.V[oldIdx]
+			sub.Domains[newIdx] = s.Domains[oldIdx]
 		}
-		for _, row := range rowsByRoot[r] {
-			nr := LinearRow{Name: row.Name, Coeffs: map[int]float64{}, Rel: row.Rel, RHS: row.RHS, Ground: row.Ground}
+		for _, row := range rowsByComp[ci] {
+			nr := LinearRow{Name: row.Name, Coeffs: make(map[int]float64, len(row.Coeffs)), Rel: row.Rel, RHS: row.RHS, Ground: row.Ground}
 			for oldIdx, c := range row.Coeffs {
 				nr.Coeffs[remap[oldIdx]] = c
 			}

@@ -257,13 +257,14 @@ func IsSetMinimal(db *relational.Database, acs []*aggrcons.Constraint, rho *Repa
 	if err := rho.Validate(db); err != nil {
 		return false, err
 	}
-	if _, err := VerifyRepairs(db, acs, rho, 1e-6); err != nil {
-		return false, fmt.Errorf("core: IsSetMinimal on a non-repair: %w", err)
-	}
-	sys, err := BuildSystem(db, acs)
+	prob, err := Prepare(db, acs)
 	if err != nil {
 		return false, err
 	}
+	if _, err := prob.Repaired(rho); err != nil {
+		return false, fmt.Errorf("core: IsSetMinimal on a non-repair: %w", err)
+	}
+	sys := prob.System()
 	support := make([]int, 0, rho.Card())
 	for _, u := range rho.Updates {
 		i := sys.IndexOf(u.Item)

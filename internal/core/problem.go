@@ -73,11 +73,23 @@ type componentMemo struct {
 // problem. It fails exactly when BuildSystem does (non-steady or invalid
 // constraints).
 func Prepare(db *relational.Database, acs []*aggrcons.Constraint) (*Problem, error) {
-	sys, err := BuildSystem(db, acs)
+	g, err := aggrcons.NewGrounding(db, acs)
 	if err != nil {
 		return nil, err
 	}
-	return &Problem{db: db, acs: acs, sys: sys, solvers: map[string]*solverState{}}, nil
+	return PrepareGrounded(g)
+}
+
+// PrepareGrounded returns the prepared problem of an existing grounding,
+// translating it without grounding again: a caller that already grounded
+// the database to check it pays for grounding once. It fails when a
+// constraint is not steady.
+func PrepareGrounded(g *aggrcons.Grounding) (*Problem, error) {
+	sys, err := buildSystem(g)
+	if err != nil {
+		return nil, err
+	}
+	return &Problem{db: g.Database(), acs: g.Constraints(), sys: sys, solvers: map[string]*solverState{}}, nil
 }
 
 // Database returns the database the problem was prepared for.
@@ -272,14 +284,14 @@ func warmCutoff(sub *System, candidate []float64, forced map[Item]float64, mBoun
 	return card, true
 }
 
-// VerifyRepair checks a repair against the prepared system. The system's
-// rows are exactly the ground constraints of the (database, constraints)
-// pair — grounding depends only on the non-measure attributes a repair
-// never touches — so evaluating the rows at the repaired values is
-// equivalent to re-checking the repaired database, without cloning it or
-// re-grounding. Solvers use it as their per-solve safety net inside the
-// validation loop, where the database-level VerifyRepairs would reintroduce
-// the per-iteration O(database) cost preparation removes.
+// VerifyRepair checks a repair against the prepared system's rows with
+// the solvers' relative tolerance eps*(1+|RHS|). The rows are exactly the
+// ground constraints of the (database, constraints) pair — grounding
+// depends only on the non-measure attributes a repair never touches — so
+// evaluating them at the repaired values stands in for re-checking the
+// repaired database, without cloning it or grounding again. Every solver
+// runs it on its own result; the validation session runs it once more on
+// the accepted repair.
 func (p *Problem) VerifyRepair(rep *Repair, eps float64) error {
 	vals := solvedValues(p.sys, rep)
 	if rows := violatedRows(p.sys, vals, eps); len(rows) > 0 {
@@ -287,6 +299,35 @@ func (p *Problem) VerifyRepair(rep *Repair, eps float64) error {
 			len(rows), rows[0])
 	}
 	return nil
+}
+
+// repairTol is the absolute tolerance of Repaired's row check.
+const repairTol = 1e-6
+
+// Repaired applies the repair to a copy of the problem's database, which
+// enforces Definition 3 and the measure domains, and checks every row at
+// the repaired values with absolute tolerance 1e-6. A row's residual is
+// LHS - K of its ground on the repaired database, since the rows translate
+// the ground constraints exactly; so Repaired accepts exactly the repairs
+// VerifyRepairs(db, acs, rep, 1e-6) accepts and returns the same database,
+// without grounding the copy again.
+func (p *Problem) Repaired(rep *Repair) (*relational.Database, error) {
+	repaired, err := rep.Applied(p.db)
+	if err != nil {
+		return nil, err
+	}
+	vals := solvedValues(p.sys, rep)
+	var bad []int
+	for ri := range p.sys.Rows {
+		if !p.sys.Rows[ri].holds(vals, repairTol) {
+			bad = append(bad, ri)
+		}
+	}
+	if len(bad) > 0 {
+		return nil, fmt.Errorf("core: repaired database still violates %d ground constraints (first: %s)",
+			len(bad), p.sys.Rows[bad[0]].Ground)
+	}
+	return repaired, nil
 }
 
 // fingerprintOf derives the memo fingerprint of a solver: its name plus
