@@ -1,15 +1,18 @@
 // Package lockhold flags blocking operations performed while a mutex
 // may be held: channel receives (including range-over-channel),
 // WaitGroup waits, cond.Wait on a cond that does not own the single
-// held mutex, decider calls (Decide), HTTP round-trips, and time.Sleep.
-// A queue or ledger mutex held across such a call stalls every other
-// goroutine contending for it — the latency bug PR 7's decide-then-
-// check fix removed, now machine-checked.
+// held mutex, decider calls (Decide), HTTP round-trips, time.Sleep, and
+// snapshot writes (WriteSnapshot on a JobStore, which writes and fsyncs
+// the whole job history). A queue or ledger mutex held across such a
+// call stalls every other goroutine contending for it — the latency bug
+// PR 7's decide-then-check fix removed, now machine-checked.
 //
 // Held-lock state is path-sensitive (may-analysis on the dataflow
 // driver): a lock released on one branch but not another still counts
 // as held at the join. `defer mu.Unlock()` keeps the lock held for the
-// rest of the body, by design.
+// rest of the body, by design. A method whose name ends in "Locked"
+// starts with its receiver's mutex held: by the convention lockcheck
+// also follows, its callers hold that lock.
 //
 // cond.Wait is accepted only when the single held mutex belongs to the
 // same root value as the cond (the `l.mu` / `l.cond` pairing); anything
@@ -22,6 +25,7 @@ package lockhold
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"dart/internal/analysis"
 	"dart/internal/analysis/cfg"
@@ -94,7 +98,13 @@ func checkFunc(pass *analysis.Pass, fn cfg.FuncInfo, nonBlocking map[ast.Stmt]bo
 	}
 	g := cfg.New(fn.Body)
 
-	prob := dataflow.FactsProblem(dataflow.Facts{}, true) // may-join: held dominates
+	entry := dataflow.Facts{}
+	if key, root, name := lockedHelperMutex(pass, fn.Decl); key != nil {
+		entry[key] = held
+		c.owners[key] = root
+		c.display[key] = name
+	}
+	prob := dataflow.FactsProblem(entry, true) // may-join: held dominates
 	prob.Transfer = c.transfer
 	res := dataflow.Forward(g, prob)
 
@@ -102,6 +112,34 @@ func checkFunc(pass *analysis.Pass, fn cfg.FuncInfo, nonBlocking map[ast.Stmt]bo
 	dataflow.ForEachNode(g, prob, res, func(n ast.Node, before dataflow.Facts) {
 		c.checkBlocking(n, before, reported)
 	})
+}
+
+// lockedHelperMutex returns the receiver's mutex field of a *Locked
+// method, keyed as mutexKey keys recv.mu, or nil for any other function.
+func lockedHelperMutex(pass *analysis.Pass, fd *ast.FuncDecl) (key, root types.Object, name string) {
+	if fd == nil || fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 ||
+		!strings.HasSuffix(fd.Name.Name, "Locked") {
+		return nil, nil, ""
+	}
+	recv := fd.Recv.List[0].Names[0]
+	obj := pass.TypesInfo.Defs[recv]
+	if obj == nil {
+		return nil, nil, ""
+	}
+	t := obj.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	st, ok := t.Underlying().(*types.Struct)
+	if !ok {
+		return nil, nil, ""
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		if f := st.Field(i); !f.Embedded() && isSyncMutex(f.Type()) {
+			return f, obj, recv.Name + "." + f.Name()
+		}
+	}
+	return nil, nil, ""
 }
 
 // mutexKey resolves the receiver of a Lock/Unlock-family call to a
@@ -309,6 +347,12 @@ func (c *checker) checkBlockingCall(call *ast.CallExpr, before dataflow.Facts, r
 	case "Sleep":
 		if isPkg(c.pass, recv, "time") {
 			report(call, "time.Sleep")
+		}
+	case "WriteSnapshot":
+		// Any type named JobStore: the service's store interface, or a
+		// fixture's copy of it.
+		if isNamed(recvType(), "", "JobStore") {
+			report(call, "JobStore.WriteSnapshot")
 		}
 	}
 }

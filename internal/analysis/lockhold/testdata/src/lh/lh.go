@@ -18,6 +18,17 @@ type ledger struct {
 
 func work() {}
 
+// JobStore mirrors store.JobStore; the pass keys on the type name.
+type JobStore interface {
+	WriteSnapshot(through uint64, state []byte) error
+}
+
+type queue struct {
+	mu    sync.Mutex
+	store JobStore
+	seq   uint64
+}
+
 // --- findings ---------------------------------------------------------
 
 func (l *ledger) recvUnderLock() int {
@@ -81,7 +92,29 @@ func (l *ledger) lockInLoopRecvAfter(n int) {
 	l.mu.Unlock()
 }
 
+func (q *queue) snapshotUnderLock(state []byte) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.store.WriteSnapshot(q.seq, state) // want "JobStore.WriteSnapshot while holding q.mu"
+}
+
+// maybeSnapshotLocked runs with q.mu held by its callers.
+func (q *queue) maybeSnapshotLocked(state []byte) error {
+	return q.store.WriteSnapshot(q.seq, state) // want "JobStore.WriteSnapshot while holding q.mu"
+}
+
+func (l *ledger) drainLocked() int {
+	return <-l.ch // want "blocking channel receive while holding l.mu"
+}
+
 // --- clean ------------------------------------------------------------
+
+func (q *queue) snapshotAfterCapture(state []byte) error {
+	q.mu.Lock()
+	st, through := q.store, q.seq
+	q.mu.Unlock()
+	return st.WriteSnapshot(through, state)
+}
 
 func (l *ledger) recvAfterUnlock() int {
 	l.mu.Lock()

@@ -10,7 +10,7 @@ type Record struct{ Kind string }
 // JobStore mirrors store.JobStore; the pass keys on the type name.
 type JobStore interface {
 	Append(*Record) (uint64, error)
-	WriteSnapshot([]byte) error
+	WriteSnapshot(uint64, []byte) error
 }
 
 type Job struct{ ID string }

@@ -108,7 +108,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	if _, ok := s.queue.Get(id); !ok {
+	if _, ok := s.queue.status(id); !ok {
 		writeError(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
@@ -144,7 +144,7 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, subName st
 		prog, ok := s.bus.Progress(f.jobID)
 		if !ok {
 			prog = obs.JobProgress{JobID: f.jobID, Gap: 1, WorstGap: 1}
-			if view, vok := s.queue.Get(f.jobID); vok {
+			if view, vok := s.queue.status(f.jobID); vok {
 				prog.State = string(view.State)
 			}
 		}
@@ -180,7 +180,7 @@ func (s *Server) tail(ctx context.Context, w io.Writer, flusher http.Flusher, su
 		// job): the queue is the authority. It may also have been published
 		// after the Subscribe snapshot, in which case its frame sits on sub
 		// already: write what is buffered before closing.
-		if view, ok := s.queue.Get(f.jobID); ok && view.State.Terminal() {
+		if view, ok := s.queue.status(f.jobID); ok && view.State.Terminal() {
 			if _, err := drainBuffered(w, sub, f, true); err == nil {
 				flusher.Flush()
 			}
@@ -274,7 +274,7 @@ func (s *Server) handleJobProgress(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	view, ok := s.queue.Get(id)
+	view, ok := s.queue.status(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no job %q", id)
 		return

@@ -52,6 +52,41 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// writeJob emits one job with its result as writeJSON would encode the
+// view with the decoded result, without decoding it: the job's encoded
+// result is spliced in after the members before it, followed by
+// trace_id, the only member JobView declares after result.
+func writeJob(w http.ResponseWriter, view JobView, result []byte) {
+	if result == nil {
+		writeJSON(w, http.StatusOK, view)
+		return
+	}
+	traceID := view.TraceID
+	view.TraceID = ""
+	head, err := marshalJSON(view)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encoding job %s: %v", view.ID, err)
+		return
+	}
+	body := make([]byte, 0, len(head)+len(result)+len(traceID)+32)
+	body = append(body, head[:len(head)-1]...) // the view always has an id: drop its '}'
+	body = append(body, `,"result":`...)
+	body = append(body, result...)
+	if traceID != "" {
+		id, err := marshalJSON(traceID)
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, "encoding job %s: %v", view.ID, err)
+			return
+		}
+		body = append(body, `,"trace_id":`...)
+		body = append(body, id...)
+	}
+	body = append(body, "}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
+}
+
 // writeError emits one JSON error envelope.
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
@@ -165,19 +200,19 @@ func knownState(s JobState) bool {
 // handleGet returns one job with its result.
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	view, ok := s.queue.Get(id)
+	view, result, ok := s.queue.getEncoded(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, view)
+	writeJob(w, view, result)
 }
 
 // handleJobTrace serves one job's span tree. 404 covers both an unknown job
 // and a trace already evicted from the ring buffer.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	view, ok := s.queue.Get(id)
+	view, ok := s.queue.status(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no job %q", id)
 		return

@@ -1,8 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"strconv"
+	"sync"
 	"time"
 
 	"dart/internal/repair"
@@ -19,24 +22,133 @@ import (
 // leaves the job non-terminal and recovery re-runs it instead of serving
 // a half-recorded state; the submit record is written before the job is
 // exposed to workers, so no job can run without a durable spec.
+//
+// Snapshots stall nobody. Under q.mu a snapshot only captures the job
+// list — references to the cached bytes of terminal jobs, copies of the
+// few live ones — and the sequence number of the queue's last append.
+// One goroutine then splices the blob together and hands it to
+// JobStore.WriteSnapshot(through, blob), which keeps every record
+// appended after through. Lock order is q.mu, then the store's own lock;
+// the snapshot file is written under neither.
 
 // persistedJob is the snapshot form of one job. Timestamps are UnixNano
 // so replayed JobViews re-encode byte-identically to the originals.
+// Result is the last member: a snapshot splices a terminal job's cached
+// result bytes after its cached head.
 type persistedJob struct {
-	ID          string          `json:"id"`
-	Spec        JobSpec         `json:"spec"`
-	State       JobState        `json:"state"`
-	Attempts    int             `json:"attempts"`
-	SubmittedAt int64           `json:"submitted_at"`
-	StartedAt   int64           `json:"started_at,omitempty"`
-	FinishedAt  int64           `json:"finished_at,omitempty"`
-	Error       string          `json:"error,omitempty"`
-	TraceID     string          `json:"trace_id,omitempty"`
-	Result      json.RawMessage `json:"result,omitempty"`
+	ID          string   `json:"id"`
+	Spec        JobSpec  `json:"spec"`
+	State       JobState `json:"state"`
+	Attempts    int      `json:"attempts"`
+	SubmittedAt int64    `json:"submitted_at"`
+	StartedAt   int64    `json:"started_at,omitempty"`
+	FinishedAt  int64    `json:"finished_at,omitempty"`
+	Error       string   `json:"error,omitempty"`
+	TraceID     string   `json:"trace_id,omitempty"`
 	// RepairEvents is the job's suggestion-event history (validation
 	// sessions only): the full ledger journal, so a snapshot alone can
 	// restore an interrupted session's queue and audit trail.
-	RepairEvents []repair.Event `json:"repair_events,omitempty"`
+	RepairEvents []repair.Event  `json:"repair_events,omitempty"`
+	Result       json.RawMessage `json:"result,omitempty"`
+}
+
+// persistedOf copies a job's persisted fields; the caller holds q.mu.
+// The result bytes are shared, as they never change.
+func persistedOf(job *Job) persistedJob {
+	pj := persistedJob{
+		ID:          job.ID,
+		Spec:        job.Spec,
+		State:       job.State,
+		Attempts:    job.Attempts,
+		SubmittedAt: job.SubmittedAt.UnixNano(),
+		StartedAt:   unixNano(job.StartedAt),
+		FinishedAt:  unixNano(job.FinishedAt),
+		Error:       job.Error,
+		TraceID:     job.TraceID,
+		Result:      job.result,
+	}
+	if len(job.RepairEvents) > 0 {
+		pj.RepairEvents = append([]repair.Event(nil), job.RepairEvents...)
+	}
+	return pj
+}
+
+// encodeHead encodes the job's snapshot entry without its result.
+func (pj persistedJob) encodeHead() ([]byte, error) {
+	pj.Result = nil
+	return marshalJSON(pj)
+}
+
+// appendEntry appends one job's snapshot entry: its head, with the
+// result bytes spliced in as the last member.
+func appendEntry(buf, head, result []byte) []byte {
+	if len(result) == 0 {
+		return append(buf, head...)
+	}
+	buf = append(buf, head[:len(head)-1]...) // the head is a non-empty object: drop its '}'
+	buf = append(buf, `,"result":`...)
+	buf = append(buf, result...)
+	return append(buf, '}')
+}
+
+// jsonBufs recycles marshalJSON's encoding buffers.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// marshalJSON encodes v as writeJSON does, with HTML escaping off, into a
+// slice of its own and without the encoder's trailing newline.
+func marshalJSON(v any) ([]byte, error) {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer jsonBufs.Put(buf)
+	buf.Reset()
+	enc := json.NewEncoder(buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	b := buf.Bytes()
+	return append([]byte(nil), b[:len(b)-1]...), nil
+}
+
+// canonicalResult returns recovered result bytes as finish encodes them.
+// Older builds persisted results with HTML escaping on (\u003c for <) and
+// served them decoded: bytes holding such an escape are decoded and
+// encoded again, so the job is served as before the restart. All other
+// bytes are kept as they are, without decoding.
+func canonicalResult(b []byte) []byte {
+	if !htmlEscaped(b) {
+		return b
+	}
+	var res ResultJSON
+	if json.Unmarshal(b, &res) != nil {
+		return b
+	}
+	if out, err := marshalJSON(&res); err == nil {
+		return out
+	}
+	return b
+}
+
+// htmlEscaped reports whether the JSON text b holds an escaped <, > or &,
+// which marshalJSON never writes.
+func htmlEscaped(b []byte) bool {
+	if !bytes.Contains(b, []byte(`\u00`)) {
+		return false
+	}
+	backslashes := 0
+	for i, c := range b {
+		if c == '\\' {
+			backslashes++
+			continue
+		}
+		if backslashes%2 == 1 && c == 'u' && i+5 <= len(b) {
+			switch string(b[i+1 : i+5]) {
+			case "003c", "003e", "0026":
+				return true
+			}
+		}
+		backslashes = 0
+	}
+	return false
 }
 
 // storeState is the snapshot blob handed to JobStore.WriteSnapshot: the
@@ -78,10 +190,12 @@ func (q *Queue) persistLocked(rec *store.Record) {
 	if q.store == nil {
 		return
 	}
-	if _, err := q.store.Append(rec); err != nil {
+	seq, err := q.store.Append(rec)
+	if err != nil {
 		q.reportStoreErrorLocked(err)
 		return
 	}
+	q.lastSeq = seq
 	q.maybeSnapshotLocked()
 }
 
@@ -98,13 +212,16 @@ func (q *Queue) appendSubmitLocked(job *Job) error {
 	if err != nil {
 		return err
 	}
-	_, err = q.store.Append(&store.Record{
+	seq, err := q.store.Append(&store.Record{
 		Type:     store.RecSubmit,
 		UnixNano: job.SubmittedAt.UnixNano(),
 		JobID:    job.ID,
 		State:    string(StateQueued),
 		Blob:     spec,
 	})
+	if err == nil {
+		q.lastSeq = seq
+	}
 	return err
 }
 
@@ -121,21 +238,16 @@ func (q *Queue) appendTransitionLocked(job *Job, at time.Time) {
 	})
 }
 
-// appendResultLocked records the job's terminal result payload.
+// appendResultLocked records the job's encoded terminal result.
 func (q *Queue) appendResultLocked(job *Job) {
-	if q.store == nil || job.Result == nil {
-		return
-	}
-	blob, err := json.Marshal(job.Result)
-	if err != nil {
-		q.reportStoreErrorLocked(err)
+	if job.result == nil {
 		return
 	}
 	q.persistLocked(&store.Record{
 		Type:     store.RecResult,
 		UnixNano: job.FinishedAt.UnixNano(),
 		JobID:    job.ID,
-		Blob:     blob,
+		Blob:     job.result,
 	})
 }
 
@@ -166,52 +278,109 @@ func (q *Queue) noteRepairEvent(job *Job, ev repair.Event) {
 	})
 }
 
-// maybeSnapshotLocked writes a snapshot (absorbing and truncating the
-// log) once the configured number of appends has accumulated.
+// maybeSnapshotLocked starts a snapshot once the configured number of
+// appends has accumulated. Under q.mu it only captures the job list; a
+// goroutine assembles the blob and writes it. At most one snapshot is in
+// flight: a trigger meanwhile is dropped, and the first append after the
+// snapshot finishes triggers again if the log is still over the bound.
 func (q *Queue) maybeSnapshotLocked() {
-	if q.store == nil || q.snapshotEvery <= 0 {
+	if q.store == nil || q.snapshotEvery <= 0 || q.snapDone != nil {
 		return
 	}
 	if q.store.AppendsSinceSnapshot() < q.snapshotEvery {
 		return
 	}
-	state, err := json.Marshal(q.stateLocked())
+	c := q.captureLocked()
+	done := make(chan struct{})
+	q.snapDone = done
+	go q.writeSnapshot(q.store, c, done)
+}
+
+// snapshotCapture is what a snapshot takes under q.mu: the job list in
+// submission order and the sequence number through which it covers the
+// log.
+type snapshotCapture struct {
+	through uint64
+	nextID  int
+	jobs    []snapshotJob
+}
+
+// snapshotJob is one captured job: the cached head and result of a
+// terminal job, or a copy of a job whose head is not encoded yet.
+type snapshotJob struct {
+	head, result []byte
+	live         *persistedJob
+}
+
+// captureLocked captures the queue for a snapshot.
+func (q *Queue) captureLocked() *snapshotCapture {
+	c := &snapshotCapture{through: q.lastSeq, nextID: q.nextID, jobs: make([]snapshotJob, len(q.order))}
+	for i, id := range q.order {
+		job := q.jobs[id]
+		if job.head != nil {
+			c.jobs[i] = snapshotJob{head: job.head, result: job.result}
+			continue
+		}
+		pj := persistedOf(job)
+		c.jobs[i] = snapshotJob{live: &pj}
+	}
+	return c
+}
+
+// writeSnapshot assembles a captured snapshot and writes it to st, off
+// q.mu, then marks the snapshot finished.
+func (q *Queue) writeSnapshot(st store.JobStore, c *snapshotCapture, done chan struct{}) {
+	state, err := c.encode()
+	if err == nil {
+		err = st.WriteSnapshot(c.through, state)
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	if err != nil {
 		q.reportStoreErrorLocked(err)
-		return
 	}
-	if err := q.store.WriteSnapshot(state); err != nil {
-		q.reportStoreErrorLocked(err)
+	q.snapDone = nil
+	close(done)
+}
+
+// waitSnapshot blocks until no snapshot is in flight. The caller must not
+// hold q.mu.
+func (q *Queue) waitSnapshot() {
+	q.mu.Lock()
+	done := q.snapDone
+	q.mu.Unlock()
+	if done != nil {
+		<-done
 	}
 }
 
-// stateLocked serializes the whole queue for a snapshot.
-func (q *Queue) stateLocked() storeState {
-	st := storeState{NextID: q.nextID, Jobs: make([]persistedJob, 0, len(q.order))}
-	for _, id := range q.order {
-		job := q.jobs[id]
-		pj := persistedJob{
-			ID:          job.ID,
-			Spec:        job.Spec,
-			State:       job.State,
-			Attempts:    job.Attempts,
-			SubmittedAt: job.SubmittedAt.UnixNano(),
-			StartedAt:   unixNano(job.StartedAt),
-			FinishedAt:  unixNano(job.FinishedAt),
-			Error:       job.Error,
-			TraceID:     job.TraceID,
-		}
-		if len(job.RepairEvents) > 0 {
-			pj.RepairEvents = append([]repair.Event(nil), job.RepairEvents...)
-		}
-		if job.Result != nil {
-			if raw, err := json.Marshal(job.Result); err == nil {
-				pj.Result = raw
+// encode assembles the snapshot blob, a storeState in JSON: terminal jobs
+// are spliced from their cached bytes, and only the others are encoded,
+// first, so that the blob is sized exactly.
+func (c *snapshotCapture) encode() ([]byte, error) {
+	size := 64
+	for i := range c.jobs {
+		j := &c.jobs[i]
+		if j.live != nil {
+			head, err := j.live.encodeHead()
+			if err != nil {
+				return nil, err
 			}
+			j.head, j.result = head, j.live.Result
 		}
-		st.Jobs = append(st.Jobs, pj)
+		size += len(j.head) + len(j.result) + len(`,"result":`) + 1
 	}
-	return st
+	buf := make([]byte, 0, size)
+	buf = append(buf, `{"next_id":`...)
+	buf = strconv.AppendInt(buf, int64(c.nextID), 10)
+	buf = append(buf, `,"jobs":[`...)
+	for i, j := range c.jobs {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendEntry(buf, j.head, j.result)
+	}
+	return append(buf, "]}"...), nil
 }
 
 // SyncStore flushes the attached store to stable storage; graceful drain
@@ -296,10 +465,7 @@ func RecoverQueue(capacity int, st store.JobStore, snapshotEvery int, onStoreErr
 				job.RepairEvents = append([]repair.Event(nil), pj.RepairEvents...)
 			}
 			if len(pj.Result) > 0 {
-				var res ResultJSON
-				if err := json.Unmarshal(pj.Result, &res); err == nil {
-					job.Result = &res
-				}
+				job.result = canonicalResult(pj.Result)
 			}
 			q.jobs[job.ID] = job //dartvet:allow walorder -- snapshot replay: the record set being made visible is already durable
 			q.order = append(q.order, job.ID)
@@ -312,7 +478,8 @@ func RecoverQueue(capacity int, st store.JobStore, snapshotEvery int, onStoreErr
 	stats.Records = len(recs)
 
 	// Re-enqueue everything non-terminal: those jobs were queued or
-	// running when the previous process died.
+	// running when the previous process died. Terminal jobs get their
+	// snapshot head, as finish would have given them.
 	now := time.Now()
 	var requeued []*Job
 	for _, id := range q.order {
@@ -320,12 +487,15 @@ func RecoverQueue(capacity int, st store.JobStore, snapshotEvery int, onStoreErr
 		switch {
 		case job.State.Terminal():
 			stats.Completed++
+			if head, err := persistedOf(job).encodeHead(); err == nil {
+				setHeadLocked(job, head)
+			}
 		case len(q.ch) < cap(q.ch):
 			job.State = StateQueued
 			job.StartedAt = time.Time{}
 			job.FinishedAt = time.Time{}
 			job.Error = ""
-			job.Result = nil
+			job.result = nil
 			q.ch <- job //dartvet:allow walorder -- recovery requeue: the job was replayed from the durable log, not newly accepted
 			requeued = append(requeued, job)
 			stats.Requeued++
@@ -384,7 +554,7 @@ func (q *Queue) applyRecordLocked(rec *store.Record, stats *RecoveryStats) {
 			job.StartedAt = time.Time{}
 			job.FinishedAt = time.Time{}
 			job.Error = ""
-			job.Result = nil
+			job.result = nil
 		case job.State == StateRunning:
 			if job.StartedAt.IsZero() {
 				job.StartedAt = rec.Time()
@@ -402,12 +572,11 @@ func (q *Queue) applyRecordLocked(rec *store.Record, stats *RecoveryStats) {
 			stats.Orphans++
 			return
 		}
-		var res ResultJSON
-		if err := json.Unmarshal(rec.Blob, &res); err != nil {
+		if !json.Valid(rec.Blob) {
 			stats.Orphans++
 			return
 		}
-		job.Result = &res
+		job.result = canonicalResult(rec.Blob)
 	case store.RecSpans:
 		// Written only by older builds, as an audit marker after a job's
 		// spans were exported; nothing to fold into queue state.

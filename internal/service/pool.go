@@ -116,9 +116,11 @@ func (p *Pool) Start() {
 }
 
 // Shutdown drains gracefully: the queue stops accepting submissions,
-// workers finish the backlog, and Shutdown returns when they exit. If ctx
-// expires first, in-flight job contexts are cancelled and Shutdown returns
-// ctx.Err() once the workers wind down.
+// workers finish the backlog, and Shutdown returns when they exit and
+// the job store is flushed. If ctx expires first, in-flight job contexts
+// are cancelled and Shutdown returns ctx.Err() once the workers wind
+// down. Either way it waits for an in-flight snapshot before the flush,
+// so the store can be closed as soon as Shutdown returns.
 func (p *Pool) Shutdown(ctx context.Context) error {
 	p.Queue.Close()
 	done := make(chan struct{})
@@ -129,8 +131,11 @@ func (p *Pool) Shutdown(ctx context.Context) error {
 	select {
 	case <-done:
 		p.cancel()
-		// Workers are gone; flush the job store so a clean drain never
-		// depends on replaying unsynced frames after the next boot.
+		// Workers are gone, so no append can start another snapshot. Let
+		// the one in flight finish, then flush the job store so a clean
+		// drain never depends on replaying unsynced frames after the next
+		// boot.
+		p.Queue.waitSnapshot()
 		if err := p.Queue.SyncStore(); err != nil {
 			return fmt.Errorf("service: syncing job store on drain: %w", err)
 		}
@@ -138,6 +143,7 @@ func (p *Pool) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		p.cancel() // abort in-flight solves
 		<-done
+		p.Queue.waitSnapshot()
 		if err := p.Queue.SyncStore(); err != nil {
 			return errors.Join(ctx.Err(), err)
 		}

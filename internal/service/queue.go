@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -66,7 +67,6 @@ type Job struct {
 	StartedAt   time.Time
 	FinishedAt  time.Time
 	Error       string
-	Result      *ResultJSON
 	// TraceID links the job to its trace (empty until a worker starts it,
 	// or when the pool runs without a tracer).
 	TraceID string
@@ -77,6 +77,19 @@ type Job struct {
 	// from the store on recovery and appended to as the session runs. A
 	// resumed session restores its ledger from this slice.
 	RepairEvents []repair.Event
+
+	// result is the terminal result, encoded once when the job finishes,
+	// with the encoder settings of writeJSON (nil when there is none). The
+	// same bytes are the RecResult frame's blob, the result member of the
+	// job's snapshot entry and of GET /v1/jobs/{id}; Get decodes them on
+	// demand. The bytes are never modified once set.
+	result []byte
+	// head is the job's snapshot entry without its result, encoded once
+	// the job is terminal (nil before that). Snapshots splice head and
+	// result instead of encoding the job again. Once head is set it is
+	// the only copy of the spec's document: Spec.Document is cleared, as
+	// no run reads it again.
+	head []byte
 }
 
 // JobView is a consistent JSON snapshot of one job.
@@ -126,6 +139,13 @@ type Queue struct {
 	// onStoreError observes non-fatal persistence failures; it runs under
 	// mu and must not call back into the queue.
 	onStoreError func(error)
+	// lastSeq is the sequence number of the queue's last append: the
+	// state under mu reflects every record through it, so a snapshot
+	// captured under mu covers exactly that much of the log.
+	lastSeq uint64
+	// snapDone is non-nil while a snapshot is in flight and is closed
+	// when it finishes.
+	snapDone chan struct{}
 	// bus, when non-nil, receives one job-state event per lifecycle
 	// transition plus queue-depth events. Publishes happen under mu on
 	// purpose: the bus-visible event order then matches the transition
@@ -176,18 +196,40 @@ func (q *Queue) Submit(spec JobSpec) (JobView, error) {
 	q.order = append(q.order, job.ID)
 	q.maybeSnapshotLocked()
 	q.publishJobLocked(job)
-	return viewLocked(job, false), nil
+	return viewLocked(job), nil
 }
 
-// Get returns a snapshot of the identified job, including its result.
+// Get returns a snapshot of the identified job, including its result,
+// which it decodes from the job's encoded result.
 func (q *Queue) Get(id string) (JobView, bool) {
+	v, result, ok := q.getEncoded(id)
+	if ok && result != nil {
+		var res ResultJSON
+		if err := json.Unmarshal(result, &res); err == nil {
+			v.Result = &res
+		}
+	}
+	return v, ok
+}
+
+// getEncoded returns a snapshot of the identified job without its result,
+// plus the job's encoded result (nil when it has none). The bytes are
+// immutable and may be read after the lock is released.
+func (q *Queue) getEncoded(id string) (JobView, []byte, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	job, ok := q.jobs[id]
 	if !ok {
-		return JobView{}, false
+		return JobView{}, nil, false
 	}
-	return viewLocked(job, true), true
+	return viewLocked(job), job.result, true
+}
+
+// status returns a snapshot of the identified job without its result, for
+// callers that need only its state or trace.
+func (q *Queue) status(id string) (JobView, bool) {
+	v, _, ok := q.getEncoded(id)
+	return v, ok
 }
 
 // List returns snapshots of every job in submission order, without result
@@ -197,7 +239,7 @@ func (q *Queue) List() []JobView {
 	defer q.mu.Unlock()
 	out := make([]JobView, 0, len(q.order))
 	for _, id := range q.order {
-		out = append(out, viewLocked(q.jobs[id], false))
+		out = append(out, viewLocked(q.jobs[id]))
 	}
 	return out
 }
@@ -238,7 +280,7 @@ func (q *Queue) ListPage(state JobState, cursor string, limit int) (page []JobVi
 			next = page[len(page)-1].ID
 			break
 		}
-		page = append(page, viewLocked(job, false))
+		page = append(page, viewLocked(job))
 	}
 	return page, next, nil
 }
@@ -370,18 +412,48 @@ func (q *Queue) OpenSuggestions() int {
 // finish records a job's terminal state. The result record is appended
 // before the terminal transition: a crash between the two leaves the job
 // non-terminal so recovery re-runs it instead of trusting partial state.
+// The job's persisted form is encoded once, off the lock: the result
+// before it is taken, the rest of the snapshot entry after the terminal
+// state is recorded.
 func (q *Queue) finish(job *Job, state JobState, result *ResultJSON, err error) {
+	var encoded []byte
+	var encErr error
+	if result != nil {
+		encoded, encErr = marshalJSON(result)
+	}
 	q.mu.Lock()
-	defer q.mu.Unlock()
 	job.State = state
 	job.FinishedAt = time.Now()
-	job.Result = result
+	job.result = encoded
 	if err != nil {
 		job.Error = err.Error()
+	}
+	if encErr != nil {
+		q.reportStoreErrorLocked(fmt.Errorf("service: encoding the result of %s: %w", job.ID, encErr))
 	}
 	q.appendResultLocked(job)
 	q.appendTransitionLocked(job, job.FinishedAt)
 	q.publishJobLocked(job)
+	pj := persistedOf(job)
+	q.mu.Unlock()
+
+	// A terminal job no longer changes, so its snapshot entry is final. A
+	// snapshot captured before the head is set encodes the job itself.
+	head, headErr := pj.encodeHead()
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if headErr != nil {
+		q.reportStoreErrorLocked(headErr)
+		return
+	}
+	setHeadLocked(job, head)
+}
+
+// setHeadLocked caches a terminal job's encoded head and releases the
+// spec's document, which the head now holds; the caller holds q.mu.
+func setHeadLocked(job *Job, head []byte) {
+	job.head = head
+	job.Spec.Document = ""
 }
 
 // detachStore severs the queue from its store without syncing, leaving
@@ -393,8 +465,8 @@ func (q *Queue) detachStore() {
 	q.store = nil
 }
 
-// viewLocked snapshots a job; the caller holds q.mu.
-func viewLocked(job *Job, includeResult bool) JobView {
+// viewLocked snapshots a job without its result; the caller holds q.mu.
+func viewLocked(job *Job) JobView {
 	v := JobView{
 		ID:          job.ID,
 		State:       job.State,
@@ -412,9 +484,6 @@ func viewLocked(job *Job, includeResult bool) JobView {
 	if !job.FinishedAt.IsZero() {
 		t := job.FinishedAt
 		v.FinishedAt = &t
-	}
-	if includeResult {
-		v.Result = job.Result
 	}
 	return v
 }

@@ -327,7 +327,7 @@ func (f *fakeStore) Append(rec *store.Record) (uint64, error) {
 }
 
 func (f *fakeStore) Replay(fn func(*store.Record) error) ([]byte, error) { return nil, nil }
-func (f *fakeStore) WriteSnapshot(state []byte) error                    { return nil }
+func (f *fakeStore) WriteSnapshot(through uint64, state []byte) error    { return nil }
 
 func (f *fakeStore) AppendsSinceSnapshot() int {
 	f.mu.Lock()

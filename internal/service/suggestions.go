@@ -178,7 +178,7 @@ func (s *Server) handleSuggestionDecision(w http.ResponseWriter, r *http.Request
 // queue from a browser.
 func (s *Server) handleWorkbench(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if _, ok := s.queue.Get(id); !ok {
+	if _, ok := s.queue.status(id); !ok {
 		writeError(w, http.StatusNotFound, "no job %q", id)
 		return
 	}

@@ -6,25 +6,30 @@ import (
 	"testing"
 )
 
-// drive applies the same scripted operation sequence to any backend.
-func drive(t *testing.T, s JobStore) {
+// drive applies the same scripted operation sequence to any backend:
+// twelve appends, a capture of the last sequence number, three appends
+// after the capture, a snapshot through the captured sequence, and five
+// appends after the snapshot. It returns the captured sequence.
+func drive(t *testing.T, s JobStore) (through uint64) {
 	t.Helper()
-	for i := 0; i < 12; i++ {
-		if _, err := s.Append(testRecord(i)); err != nil {
+	for i := 0; i < 20; i++ {
+		if i == 15 {
+			if err := s.WriteSnapshot(through, []byte(`{"state":"mid"}`)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seq, err := s.Append(testRecord(i))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := s.WriteSnapshot([]byte(`{"state":"mid"}`)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 12; i < 17; i++ {
-		if _, err := s.Append(testRecord(i)); err != nil {
-			t.Fatal(err)
+		if i == 11 {
+			through = seq
 		}
 	}
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	return through
 }
 
 // TestBackendsReplayIdentically is the store-level differential test: the
@@ -38,7 +43,7 @@ func TestBackendsReplayIdentically(t *testing.T) {
 	}
 	defer wal.Close()
 	mem := NewMem()
-	drive(t, wal)
+	through := drive(t, wal)
 	drive(t, mem)
 
 	walSnap, walRecs := replayAll(t, wal)
@@ -52,6 +57,18 @@ func TestBackendsReplayIdentically(t *testing.T) {
 	for i := range walRecs {
 		if !reflect.DeepEqual(walRecs[i], memRecs[i]) {
 			t.Errorf("record %d differs:\n wal %+v\n mem %+v", i, walRecs[i], memRecs[i])
+		}
+	}
+	// Exactly the records after the captured sequence replay, in order:
+	// the three appended between capture and snapshot, then the rest.
+	if len(walRecs) != 8 {
+		t.Fatalf("replayed %d records after the snapshot, want 8", len(walRecs))
+	}
+	for i, r := range walRecs {
+		want := testRecord(int(through) + i)
+		want.Seq = through + 1 + uint64(i)
+		if !reflect.DeepEqual(r, want) {
+			t.Errorf("record %d after the snapshot:\n got  %+v\n want %+v", i, r, want)
 		}
 	}
 	ws, ms := wal.Stats(), mem.Stats()

@@ -75,7 +75,7 @@ func FuzzWALReplay(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := w.WriteSnapshot([]byte(`{"jobs":6}`)); err != nil {
+	if err := w.WriteSnapshot(6, []byte(`{"jobs":6}`)); err != nil {
 		f.Fatal(err)
 	}
 	appendN(f, w, 2)

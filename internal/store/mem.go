@@ -1,6 +1,8 @@
 package store
 
 import (
+	"fmt"
+	"sort"
 	"sync"
 	"time"
 )
@@ -71,13 +73,23 @@ func (m *Mem) Replay(fn func(*Record) error) ([]byte, error) {
 }
 
 // WriteSnapshot implements JobStore: the snapshot absorbs every record
-// appended so far, which are dropped.
-func (m *Mem) WriteSnapshot(state []byte) error {
+// through seq through, which are dropped; later records stay. The state
+// is copied before the lock is taken, so appends do not wait for it.
+func (m *Mem) WriteSnapshot(through uint64, state []byte) error {
+	blob := append([]byte(nil), state...)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.snapSeq = m.nextSeq - 1
-	m.snapBlob = append(m.snapBlob[:0], state...)
-	m.records = m.records[:0]
+	switch {
+	case through >= m.nextSeq:
+		return fmt.Errorf("store: snapshot through seq %d, past the last appended seq %d", through, m.nextSeq-1)
+	case through < m.snapSeq:
+		return fmt.Errorf("store: snapshot through seq %d, behind the current snapshot's %d", through, m.snapSeq)
+	}
+	m.snapSeq = through
+	m.snapBlob = blob
+	recs := m.records
+	i := sort.Search(len(recs), func(i int) bool { return recs[i].Seq > through })
+	m.records = append(recs[:0], recs[i:]...)
 	m.snapshots++
 	return nil
 }

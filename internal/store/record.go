@@ -169,6 +169,38 @@ func decodeBody(body []byte) (*Record, error) {
 // returns errCorrupt so the caller treats the offset as the end of the
 // valid log.
 func decodeFrame(buf []byte) (*Record, int, error) {
+	body, total, err := frameBody(buf)
+	if err != nil {
+		return nil, 0, err
+	}
+	rec, err := decodeBody(body)
+	if err != nil {
+		return nil, 0, err
+	}
+	return rec, total, nil
+}
+
+// frameSeq returns the sequence number and total length of the frame
+// starting at buf[0], checking the envelope as decodeFrame does but
+// decoding only the body's type byte and sequence.
+func frameSeq(buf []byte) (uint64, int, error) {
+	body, total, err := frameBody(buf)
+	if err != nil {
+		return 0, 0, err
+	}
+	if len(body) < 2 {
+		return 0, 0, errCorrupt
+	}
+	seq, n := uvarint(body[1:])
+	if n <= 0 {
+		return 0, 0, errCorrupt
+	}
+	return seq, total, nil
+}
+
+// frameBody checks the envelope of the frame starting at buf[0] — length
+// prefix, bounds and CRC — and returns its body and total length.
+func frameBody(buf []byte) ([]byte, int, error) {
 	bodyLen, n := uvarint(buf)
 	if n <= 0 || bodyLen > maxFrameBody {
 		return nil, 0, errCorrupt
@@ -182,11 +214,7 @@ func decodeFrame(buf []byte) (*Record, int, error) {
 	if crc32.ChecksumIEEE(body) != want {
 		return nil, 0, fmt.Errorf("%w: crc mismatch", errCorrupt)
 	}
-	rec, err := decodeBody(body)
-	if err != nil {
-		return nil, 0, err
-	}
-	return rec, total, nil
+	return body, total, nil
 }
 
 // crcSize is the trailing checksum width of every frame.

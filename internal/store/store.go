@@ -114,18 +114,24 @@ type Stats struct {
 // The contract: Append durably adds one record and returns its assigned
 // sequence number. Replay delivers the current snapshot blob (nil when
 // none) and then every live record in append order; the callback must not
-// call back into the store. WriteSnapshot atomically replaces the
-// snapshot with state (a caller-defined serialization of everything the
-// log expresses) and truncates the absorbed log prefix.
+// call back into the store. WriteSnapshot(through, state) atomically
+// replaces the snapshot with state, a caller-defined serialization of
+// every record up to and including sequence number through, and drops
+// those records from the log. Records appended after through stay in the
+// log and replay after the new snapshot, so a caller may capture its
+// state and through under its own lock and write the snapshot after
+// releasing it while appends go on.
 type JobStore interface {
 	// Append persists one record and returns its sequence number.
 	Append(rec *Record) (uint64, error)
 	// Replay returns the snapshot blob and streams every record appended
 	// after it, in order.
 	Replay(fn func(*Record) error) ([]byte, error)
-	// WriteSnapshot replaces the snapshot with state and truncates the
-	// log records it absorbs.
-	WriteSnapshot(state []byte) error
+	// WriteSnapshot replaces the snapshot with state, which covers every
+	// record through sequence number through, and drops those records
+	// from the log. through may not pass the last appended sequence nor
+	// fall below the current snapshot's.
+	WriteSnapshot(through uint64, state []byte) error
 	// AppendsSinceSnapshot reports log records not yet absorbed by a
 	// snapshot; callers use it to schedule WriteSnapshot.
 	AppendsSinceSnapshot() int

@@ -134,7 +134,7 @@ func TestWALCorruptSnapshotIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendN(t, w, 3)
-	if err := w.WriteSnapshot([]byte(`{"jobs":3}`)); err != nil {
+	if err := w.WriteSnapshot(3, []byte(`{"jobs":3}`)); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()

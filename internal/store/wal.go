@@ -16,12 +16,16 @@ import (
 // File names inside a WAL directory.
 const (
 	walName     = "jobs.wal"     // uvarint-length-prefixed CRC32 frames
+	walTmpName  = "jobs.wal.tmp" // the log's unabsorbed suffix while a snapshot cuts it
 	snapName    = "snapshot.bin" // seq(8 LE) | crc32(blob)(4 LE) | blob
 	snapTmpName = "snapshot.tmp"
 )
 
 // snapHeader is the width of snapshot.bin's seq and CRC header.
 const snapHeader = 12
+
+// errClosed reports a call on a closed WAL.
+var errClosed = errors.New("store: WAL is closed")
 
 // WALOptions tunes a write-ahead-log store.
 type WALOptions struct {
@@ -33,16 +37,27 @@ type WALOptions struct {
 
 // WAL is the file-backed JobStore: an append-only frame log plus an
 // atomically replaced snapshot. The snapshot stays on disk; the WAL keeps
-// only its sequence and size, and Replay reads it back. All fields are
-// guarded by mu.
+// only its sequence and size, and Replay reads it back.
+//
+// Two mutexes, always taken in the order snapMu then mu. mu guards every
+// other field and is the only lock Append takes. snapMu serializes
+// WriteSnapshot, Replay and Close; a snapshot holds it across writing,
+// syncing and renaming snapshot.bin and takes mu only to cut the log, so
+// appends never wait for a snapshot's file I/O.
 type WAL struct {
 	mu         sync.Mutex
+	snapMu     sync.Mutex
 	dir        string
 	fsyncEvery bool
+	closed     bool
 
 	wal     *os.File
 	tail    int64  // next append offset in jobs.wal
 	lastSeq uint64 // highest sequence in the log or snapshot
+	// dirDirty is set when a log cut renamed jobs.wal but could not sync
+	// the directory: the next append retries the sync before it writes,
+	// so no acknowledged frame lives only in an undurable file name.
+	dirDirty bool
 
 	haveSnap  bool   // a valid snapshot.bin was opened or written
 	snapSeq   uint64 // last sequence the snapshot absorbs
@@ -61,11 +76,17 @@ type WAL struct {
 
 // OpenWAL opens (creating if needed) the WAL store rooted at dir. Opening
 // validates the log tail: a torn final frame — truncated mid-write by a
-// crash — is detected by its length prefix or CRC and cut off. A jobs.idx
-// offset index left by older builds is ignored.
+// crash — is detected by its length prefix or CRC and cut off. Temporary
+// files a crash left mid-snapshot are removed; a jobs.idx offset index
+// left by older builds is ignored.
 func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
+	}
+	for _, name := range []string{snapTmpName, walTmpName} {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return nil, fmt.Errorf("store: removing %s: %w", name, err)
+		}
 	}
 	w := &WAL{dir: dir, fsyncEvery: opts.SyncEveryAppend}
 	if err := w.loadSnapshotLocked(); err != nil {
@@ -156,8 +177,17 @@ func (w *WAL) absorbedLocked(seq uint64) bool { return w.haveSnap && seq <= w.sn
 func (w *WAL) Append(rec *Record) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.closed {
+		return 0, errClosed
+	}
 	if w.lastSeq == math.MaxUint64 {
 		return 0, errors.New("store: sequence numbers exhausted")
+	}
+	if w.dirDirty {
+		if err := w.syncDirLocked(); err != nil {
+			return 0, err
+		}
+		w.dirDirty = false
 	}
 	rec.Seq = w.lastSeq + 1
 	w.buf = encodeFrame(w.buf[:0], rec)
@@ -185,6 +215,8 @@ func (w *WAL) Append(rec *Record) (uint64, error) {
 // empty state: the log frames it absorbed are gone. The callback must
 // not call back into the store.
 func (w *WAL) Replay(fn func(*Record) error) ([]byte, error) {
+	w.snapMu.Lock()
+	defer w.snapMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	start := time.Now()
@@ -228,59 +260,145 @@ func (w *WAL) Replay(fn func(*Record) error) ([]byte, error) {
 	return snap, nil
 }
 
-// WriteSnapshot implements JobStore: state is written to a tmp file,
-// fsynced, atomically renamed over snapshot.bin, and the log prefix it
-// absorbs is truncated. A crash between rename and truncate is safe: the
-// leftover frames carry sequence numbers the snapshot covers, and replay
-// skips them.
-func (w *WAL) WriteSnapshot(state []byte) error {
+// WriteSnapshot implements JobStore. state is written to a tmp file,
+// fsynced, atomically renamed over snapshot.bin and made durable by a
+// directory sync, all without mu, so appends go on meanwhile. Then, under
+// mu, the log is cut: the frames after through move to a fresh jobs.wal.
+// A crash before the cut is safe: the leftover frames carry sequence
+// numbers the snapshot covers, and replay skips them.
+func (w *WAL) WriteSnapshot(through uint64, state []byte) error {
+	w.snapMu.Lock()
+	defer w.snapMu.Unlock()
+	w.mu.Lock()
+	dir, err := w.dir, w.checkThroughLocked(through)
+	w.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	syncs, err := installSnapshot(dir, through, state)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	seq := w.lastSeq
-	buf := make([]byte, 0, snapHeader+len(state))
-	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(state))
-	buf = append(buf, state...)
-
-	tmp := filepath.Join(w.dir, snapTmpName)
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	w.fsyncs += syncs
 	if err != nil {
-		return fmt.Errorf("store: snapshot tmp: %w", err)
+		// Without a durable rename a crash could resurrect the old
+		// snapshot, so the log must keep every frame. The WAL keeps its old
+		// snapshot seq and size; if it had a snapshot, Replay now reports
+		// the replaced file.
+		return err
 	}
-	if _, err := f.Write(buf); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("store: writing snapshot: %w", err)
+	w.haveSnap, w.snapSeq, w.snapSize = true, through, int64(len(state))
+	w.snapshots++
+	return w.cutLogLocked(through)
+}
+
+// checkThroughLocked rejects a snapshot the log cannot honour: one on a
+// closed store, one claiming frames not yet appended, and one older than
+// the current snapshot.
+func (w *WAL) checkThroughLocked(through uint64) error {
+	switch {
+	case w.closed:
+		return errClosed
+	case through > w.lastSeq:
+		return fmt.Errorf("store: snapshot through seq %d, past the last appended seq %d", through, w.lastSeq)
+	case w.haveSnap && through < w.snapSeq:
+		return fmt.Errorf("store: snapshot through seq %d, behind the current snapshot's %d", through, w.snapSeq)
+	}
+	return nil
+}
+
+// installSnapshot durably replaces dir's snapshot.bin with state through
+// seq, returning the fsyncs it made for the caller to count.
+func installSnapshot(dir string, through uint64, state []byte) (syncs uint64, err error) {
+	header := binary.LittleEndian.AppendUint64(make([]byte, 0, snapHeader), through)
+	header = binary.LittleEndian.AppendUint32(header, crc32.ChecksumIEEE(state))
+	if err := writeSynced(filepath.Join(dir, snapTmpName), header, state); err != nil {
+		return 0, fmt.Errorf("store: writing snapshot: %w", err)
+	}
+	if err := os.Rename(filepath.Join(dir, snapTmpName), filepath.Join(dir, snapName)); err != nil {
+		return 1, fmt.Errorf("store: installing snapshot: %w", err)
+	}
+	if err := syncDir(dir); err != nil {
+		return 1, fmt.Errorf("store: syncing %s: %w", dir, err)
+	}
+	return 2, nil
+}
+
+// writeSynced creates (or truncates) path, writes the parts in order and
+// fsyncs the file.
+func writeSynced(path string, parts ...[]byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	for _, p := range parts {
+		if _, err := f.Write(p); err != nil {
+			_ = f.Close()
+			return err
+		}
 	}
 	if err := f.Sync(); err != nil {
 		_ = f.Close()
-		return fmt.Errorf("store: syncing snapshot: %w", err)
+		return err
+	}
+	return f.Close()
+}
+
+// cutLogLocked drops the frames a snapshot through seq absorbs. The log
+// holds about one snapshot interval of frames, so it is read whole and
+// its frame headers walked from offset 0 to the first frame past
+// through. An empty suffix truncates the log in place, as replay skips
+// absorbed frames whether or not the truncation survives a crash. A
+// non-empty suffix is written to jobs.wal.tmp, fsynced, renamed over
+// jobs.wal and made durable by a directory sync, so the log file is
+// always either the old one or the complete new one.
+func (w *WAL) cutLogLocked(through uint64) error {
+	data := make([]byte, w.tail)
+	if _, err := w.wal.ReadAt(data, 0); err != nil && w.tail > 0 {
+		return fmt.Errorf("store: reading log: %w", err)
+	}
+	off, kept := -1, 0
+	for at := 0; at < len(data); {
+		seq, n, err := frameSeq(data[at:])
+		if err != nil {
+			return fmt.Errorf("store: log frame at offset %d: %w", at, err)
+		}
+		if seq > through {
+			if off < 0 {
+				off = at
+			}
+			kept++
+		}
+		at += n
+	}
+	if off < 0 {
+		if err := w.wal.Truncate(0); err != nil {
+			return fmt.Errorf("store: truncating log: %w", err)
+		}
+		w.tail, w.sinceSnap = 0, 0
+		return nil
+	}
+	suffix := data[off:]
+	tmp := filepath.Join(w.dir, walTmpName)
+	if err := writeSynced(tmp, suffix); err != nil {
+		_ = os.Remove(tmp)
+		return fmt.Errorf("store: writing cut log: %w", err)
 	}
 	w.fsyncs++
-	if err := f.Close(); err != nil {
-		return err
+	f, err := os.OpenFile(tmp, os.O_RDWR, 0o644)
+	if err != nil {
+		_ = os.Remove(tmp)
+		return fmt.Errorf("store: opening cut log: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(w.dir, snapName)); err != nil {
-		return fmt.Errorf("store: installing snapshot: %w", err)
+	if err := os.Rename(tmp, filepath.Join(w.dir, walName)); err != nil {
+		_ = f.Close()
+		_ = os.Remove(tmp)
+		return fmt.Errorf("store: installing cut log: %w", err)
 	}
-	if err := w.syncDirLocked(); err != nil {
-		// The rename is not known durable: a crash could resurrect the old
-		// snapshot, so the log must keep every frame. Truncating here would
-		// risk losing both the snapshot and the records it absorbed. The
-		// WAL keeps its old snapshot seq and size; if it had a snapshot,
-		// Replay now reports the replaced file.
-		return err
-	}
-
-	// The snapshot absorbs every appended frame: truncate the log so disk
-	// usage stays bounded by one snapshot plus the records appended since.
-	if err := w.wal.Truncate(0); err != nil {
-		return fmt.Errorf("store: truncating log: %w", err)
-	}
-	w.tail = 0
-	w.haveSnap, w.snapSeq, w.snapSize = true, seq, int64(len(state))
-	w.sinceSnap = 0
-	w.snapshots++
-	return nil
+	old := w.wal
+	w.wal, w.tail, w.sinceSnap = f, int64(len(suffix)), kept
+	err = w.syncDirLocked()
+	w.dirDirty = err != nil
+	return errors.Join(err, old.Close())
 }
 
 // syncDir flushes a directory entry so a completed rename inside it is
@@ -294,11 +412,8 @@ var syncDir = func(dir string) error {
 	return errors.Join(d.Sync(), d.Close())
 }
 
-// syncDirLocked flushes the WAL directory after the snapshot rename so
-// the new snapshot name is durable. Failure is fatal to the snapshot:
-// the caller must leave the log untruncated, because without a durable
-// directory entry a crash could lose the rename and the truncated
-// frames at once.
+// syncDirLocked flushes the WAL directory after the log cut's rename so
+// the new log's name is durable before another frame is appended to it.
 func (w *WAL) syncDirLocked() error {
 	if err := syncDir(w.dir); err != nil {
 		return fmt.Errorf("store: syncing %s: %w", w.dir, err)
@@ -341,10 +456,15 @@ func (w *WAL) Stats() Stats {
 	}
 }
 
-// Close flushes the log and closes it; both errors are reported, joined,
-// so a failed final sync cannot hide behind a clean close.
+// Close waits for an in-flight WriteSnapshot, then flushes the log and
+// closes it; both errors are reported, joined, so a failed final sync
+// cannot hide behind a clean close. A WriteSnapshot that starts after
+// Close fails without touching the directory.
 func (w *WAL) Close() error {
+	w.snapMu.Lock()
+	defer w.snapMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.closed = true
 	return errors.Join(w.wal.Sync(), w.wal.Close())
 }

@@ -106,7 +106,7 @@ func TestWALSnapshotTruncation(t *testing.T) {
 	}
 	appendN(t, w, 20)
 	state := []byte(`{"jobs":20}`)
-	if err := w.WriteSnapshot(state); err != nil {
+	if err := w.WriteSnapshot(20, state); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.AppendsSinceSnapshot(); got != 0 {
@@ -161,7 +161,7 @@ func TestWALStaleFramesSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteSnapshot([]byte("S")); err != nil {
+	if err := w.WriteSnapshot(5, []byte("S")); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -202,7 +202,7 @@ func TestWALStats(t *testing.T) {
 	if got := w.Stats().Fsyncs; got < 4 {
 		t.Errorf("fsyncs after Sync = %d, want >= 4", got)
 	}
-	if err := w.WriteSnapshot([]byte("x")); err != nil {
+	if err := w.WriteSnapshot(3, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	st = w.Stats()
@@ -228,7 +228,7 @@ func TestWALSnapshotDirSyncFailure(t *testing.T) {
 	syncDir = func(string) error { return fmt.Errorf("injected dir-sync failure") }
 	defer func() { syncDir = realSyncDir }()
 
-	if err := w.WriteSnapshot([]byte(`{"jobs":8}`)); err == nil {
+	if err := w.WriteSnapshot(8, []byte(`{"jobs":8}`)); err == nil {
 		t.Fatal("WriteSnapshot succeeded despite dir-sync failure")
 	}
 	if got := w.Stats().WALBytes; got == 0 {
@@ -246,7 +246,7 @@ func TestWALSnapshotDirSyncFailure(t *testing.T) {
 	// With the failure cleared the same snapshot goes through and the log
 	// truncates as usual.
 	syncDir = realSyncDir
-	if err := w.WriteSnapshot([]byte(`{"jobs":8}`)); err != nil {
+	if err := w.WriteSnapshot(8, []byte(`{"jobs":8}`)); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.Stats().WALBytes; got != 0 {
@@ -298,7 +298,7 @@ func TestWALDirHoldsLogAndSnapshot(t *testing.T) {
 	}
 	appendN(t, w, 4)
 	checkDir(walName)
-	if err := w.WriteSnapshot([]byte("S")); err != nil {
+	if err := w.WriteSnapshot(4, []byte("S")); err != nil {
 		t.Fatal(err)
 	}
 	appendN(t, w, 2)
@@ -329,7 +329,7 @@ func TestWALReplayDetectsReplacedSnapshot(t *testing.T) {
 				t.Fatal(err)
 			}
 			appendN(t, w, 5)
-			if err := w.WriteSnapshot([]byte(`{"jobs":5}`)); err != nil {
+			if err := w.WriteSnapshot(5, []byte(`{"jobs":5}`)); err != nil {
 				t.Fatal(err)
 			}
 			appendN(t, w, 2)
