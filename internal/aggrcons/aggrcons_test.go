@@ -563,7 +563,7 @@ func TestJoinGrounding(t *testing.T) {
 	if len(grounds) != 1 {
 		t.Fatalf("grounds = %d, want 1 (join on 'b' only): %v", len(grounds), grounds)
 	}
-	if got := grounds[0].Binding["k"]; got != relational.String("b") {
-		t.Errorf("binding = %v, want 'b'", got)
+	if got := grounds[0].Args[0][0]; got != relational.String("b") {
+		t.Errorf("call argument = %v, want 'b'", got)
 	}
 }

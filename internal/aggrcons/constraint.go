@@ -2,6 +2,7 @@ package aggrcons
 
 import (
 	"fmt"
+	"hash/maphash"
 	"strings"
 
 	"dart/internal/relational"
@@ -183,15 +184,10 @@ func (k *Constraint) String() string {
 	return fmt.Sprintf("%s ==> %s %s %g", strings.Join(bodyParts, ", "), rhs.String(), k.Rel, k.K)
 }
 
-// Binding is a ground substitution theta restricted to the variables that
-// matter for the constraint's calls.
-type Binding map[string]relational.Value
-
 // Ground is one ground instantiation of a constraint: the inequality
 // sum_i Coeff_i * Func_i(Args_i) Rel K with all arguments ground.
 type Ground struct {
-	Source  *Constraint
-	Binding Binding
+	Source *Constraint
 	// Args holds the resolved argument values for each call, parallel to
 	// Source.Calls.
 	Args [][]relational.Value
@@ -291,12 +287,21 @@ func (k *Constraint) GroundAll(db *relational.Database) ([]*Ground, error) {
 // groundAll is GroundAll on a validated constraint that also returns each
 // ground's deduplication key, built from the substitution before the
 // Ground is allocated.
+//
+// The key depends only on the values of the variables that occur in some
+// call, the relevant ones, so a substitution whose relevant values are
+// those of an earlier ground, in kind and in bits (or string content), is
+// that ground's duplicate and is dropped before its key is formatted. The
+// prefilter compares the relevant values' AppendIdentity encodings, found
+// through their hash. It never calls two substitutions duplicates that the
+// key tells apart: -0 and +0, or Int 2 and Real 2, differ in bits or kind.
+// A substitution it misses, such as one with a NaN of other bits, or
+// strings whose keys collide, is settled by its key.
 func (k *Constraint) groundAll(db *relational.Database) ([]*Ground, []string) {
 	// Number the variables in order of first appearance in the body; the
 	// substitution is a slice indexed by that number. Validate guarantees
 	// every call variable occurs in the body.
 	slots := map[string]int{}
-	var names []string
 	slotOf := func(args []ArgTerm) []int {
 		out := make([]int, len(args))
 		for i, a := range args {
@@ -306,9 +311,8 @@ func (k *Constraint) groundAll(db *relational.Database) ([]*Ground, []string) {
 			}
 			s, ok := slots[a.name]
 			if !ok {
-				s = len(names)
+				s = len(slots)
 				slots[a.name] = s
-				names = append(names, a.name)
 			}
 			out[i] = s
 		}
@@ -326,7 +330,7 @@ func (k *Constraint) groundAll(db *relational.Database) ([]*Ground, []string) {
 	}
 	// relevant lists the slots of the variables appearing in some call.
 	var relevant []int
-	inCall := make([]bool, len(names))
+	inCall := make([]bool, len(slots))
 	for i := range k.Calls {
 		for _, s := range callSlots[i] {
 			if s >= 0 && !inCall[s] {
@@ -335,12 +339,26 @@ func (k *Constraint) groundAll(db *relational.Database) ([]*Ground, []string) {
 			}
 		}
 	}
-	binding := make([]relational.Value, len(names))
-	isBound := make([]bool, len(names))
+	binding := make([]relational.Value, len(slots))
+	isBound := make([]bool, len(slots))
 
 	var out []*Ground
 	var keys []string
 	seen := map[string]bool{}
+	// Ground gi's relevant values encode to ids[idAt[gi]:idAt[gi+1]].
+	// heads maps the hash of an encoding to the latest ground with that
+	// hash; prev[gi] is the ground before gi with the same hash, or -1.
+	seed := maphash.MakeSeed()
+	heads := map[uint64]int{}
+	var prev []int
+	var ids, id []byte
+	idAt := []int{0}
+	// New grounds, their argument lists and the arguments are carved from
+	// chunks that double from 4 to groundChunk grounds; a chunk is
+	// replaced only when full.
+	var grounds []Ground
+	var argLists [][]relational.Value
+	var argVals []relational.Value
 	// args holds the current substitution's call arguments; a new Ground
 	// copies them only when their key has not been seen.
 	args := make([][]relational.Value, len(k.Calls))
@@ -349,6 +367,20 @@ func (k *Constraint) groundAll(db *relational.Database) ([]*Ground, []string) {
 	}
 	var key []byte
 	emit := func() {
+		id = id[:0]
+		for _, s := range relevant {
+			id = binding[s].AppendIdentity(id)
+		}
+		h := maphash.Bytes(seed, id)
+		head, hashed := heads[h]
+		if !hashed {
+			head = -1
+		}
+		for gi := head; gi >= 0; gi = prev[gi] {
+			if string(ids[idAt[gi]:idAt[gi+1]]) == string(id) {
+				return
+			}
+		}
 		for i, call := range k.Calls {
 			for j, a := range call.Args {
 				if s := callSlots[i][j]; s >= 0 {
@@ -364,18 +396,27 @@ func (k *Constraint) groundAll(db *relational.Database) ([]*Ground, []string) {
 		}
 		ks := string(key)
 		seen[ks] = true
-		g := &Ground{Source: k, Binding: make(Binding, len(relevant)), Args: make([][]relational.Value, len(k.Calls))}
-		for _, s := range relevant {
-			g.Binding[names[s]] = binding[s]
+		if len(grounds) == cap(grounds) {
+			n := min(groundChunk, max(4, 2*cap(grounds)))
+			grounds = make([]Ground, 0, n)
+			argLists = make([][]relational.Value, 0, n*len(k.Calls))
+			argVals = make([]relational.Value, 0, n*nargs)
 		}
-		// One backing array holds every call's arguments; each call's
-		// slice is capped so an append cannot run into the next.
-		flat := make([]relational.Value, 0, nargs)
+		grounds = append(grounds, Ground{Source: k})
+		g := &grounds[len(grounds)-1]
+		// Each call's arguments are capped so an append cannot run into
+		// the next.
+		off := len(argLists)
 		for i := range args {
-			off := len(flat)
-			flat = append(flat, args[i]...)
-			g.Args[i] = flat[off:len(flat):len(flat)]
+			start := len(argVals)
+			argVals = append(argVals, args[i]...)
+			argLists = append(argLists, argVals[start:len(argVals):len(argVals)])
 		}
+		g.Args = argLists[off:len(argLists):len(argLists)]
+		heads[h] = len(out)
+		prev = append(prev, head)
+		ids = append(ids, id...)
+		idAt = append(idAt, len(ids))
 		out = append(out, g)
 		keys = append(keys, ks)
 	}
@@ -430,6 +471,10 @@ func (k *Constraint) groundAll(db *relational.Database) ([]*Ground, []string) {
 	match(0)
 	return out, keys
 }
+
+// groundChunk bounds how many grounds groundAll allocates at once: a
+// chunk costs three allocations, and at most one chunk is partly unused.
+const groundChunk = 32
 
 // Violation reports one ground constraint that does not hold, with the
 // left-hand side value observed.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"dart/internal/relational"
 )
@@ -15,7 +16,9 @@ import (
 // buckets keyed on the values of the WHERE clause's top-level Attr = Param
 // conjuncts (either orientation). A call then runs the unchanged WHERE
 // clause on the tuples of its own bucket only, so a pass costs
-// O(|R| + sum |T_chi|) instead of O(|R| x calls).
+// O(|R| + sum |T_chi|) instead of O(|R| x calls). When every top-level
+// conjunct is such a key conjunct the bucket is exact: each of its tuples
+// satisfies the clause, so the call returns the bucket itself.
 //
 // The answers are exactly those of AggFunc.Tuples: buckets keep relation
 // order, and key equality follows Cmp.Eval (numbers compare by AsFloat, so
@@ -34,12 +37,15 @@ type Evaluator struct {
 }
 
 // funcIndex buckets one function's relation on its key conjuncts. Without
-// buckets the function is answered by the scan.
+// buckets the function is answered by the scan. Bucket b is
+// tuples[start[b]:start[b+1]].
 type funcIndex struct {
-	attrs   []int // schema position of each key attribute
-	params  []int // parameter index each key attribute is compared with
-	bucket  map[string]int
-	buckets [][]*relational.Tuple
+	attrs  []int // schema position of each key attribute
+	params []int // parameter index each key attribute is compared with
+	exact  bool  // every top-level conjunct is a key conjunct
+	bucket map[string]int
+	start  []int
+	tuples []*relational.Tuple
 }
 
 // NewEvaluator returns an evaluator over db.
@@ -47,10 +53,12 @@ func NewEvaluator(db *relational.Database) *Evaluator {
 	return &Evaluator{db: db, indexes: map[*AggFunc]*funcIndex{}}
 }
 
-// Tuples returns T_chi for the call f(args), as AggFunc.Tuples does.
+// Tuples returns T_chi for the call f(args), as AggFunc.Tuples does. The
+// result may share its array with the evaluator and with other calls'
+// results; callers must not mutate it.
 func (e *Evaluator) Tuples(f *AggFunc, args []relational.Value) ([]*relational.Tuple, error) {
 	ix := e.index(f)
-	if ix.buckets == nil || len(args) != len(f.Params) {
+	if ix.bucket == nil || len(args) != len(f.Params) {
 		return f.Tuples(e.db, args)
 	}
 	var ok bool
@@ -64,8 +72,12 @@ func (e *Evaluator) Tuples(f *AggFunc, args []relational.Value) ([]*relational.T
 	if !found {
 		return nil, nil
 	}
+	lo, hi := ix.start[b], ix.start[b+1]
+	if ix.exact {
+		return ix.tuples[lo:hi:hi], nil
+	}
 	var out []*relational.Tuple
-	for _, t := range ix.buckets[b] {
+	for _, t := range ix.tuples[lo:hi] {
 		ok, err := f.Where.Eval(t, args)
 		if err != nil {
 			return nil, fmt.Errorf("aggrcons: evaluating WHERE of %s: %w", f.Name, err)
@@ -99,7 +111,10 @@ func (e *Evaluator) LHS(g *Ground) (float64, error) {
 	return sum, nil
 }
 
-// index returns f's bucket index, building it on first use.
+// index returns f's bucket index, building it on first use. It encodes
+// every tuple's key into one buffer, numbers the distinct keys in order of
+// first appearance, then places the tuples bucket by bucket into one array
+// in a counted pass.
 func (e *Evaluator) index(f *AggFunc) *funcIndex {
 	if ix, ok := e.indexes[f]; ok {
 		return ix
@@ -110,7 +125,8 @@ func (e *Evaluator) index(f *AggFunc) *funcIndex {
 	if r == nil || !errorFree(f.Where, r.Schema(), len(f.Params)) {
 		return ix
 	}
-	for _, c := range conjuncts(f.Where, nil) {
+	conjs := conjuncts(f.Where, nil)
+	for _, c := range conjs {
 		attr, param, ok := attrEqParam(c)
 		if ok {
 			ix.attrs = append(ix.attrs, r.Schema().AttrIndex(attr))
@@ -120,25 +136,53 @@ func (e *Evaluator) index(f *AggFunc) *funcIndex {
 	if len(ix.attrs) == 0 {
 		return ix
 	}
-	bucket := map[string]int{}
-	var buckets [][]*relational.Tuple
-	for _, t := range r.Tuples() {
+	ts := r.Tuples()
+	ends := make([]int, len(ts))
+	var buf []byte
+	for i, t := range ts {
 		var ok bool
-		e.key = e.key[:0]
 		for _, a := range ix.attrs {
-			if e.key, ok = appendKeyValue(e.key, t.At(a)); !ok {
+			if buf, ok = appendKeyValue(buf, t.At(a)); !ok {
 				return ix
 			}
 		}
-		b, found := bucket[string(e.key)]
-		if !found {
-			b = len(buckets)
-			bucket[string(e.key)] = b
-			buckets = append(buckets, nil)
+		ends[i] = len(buf)
+		if i == 0 {
+			buf = slices.Grow(buf, len(buf)*(len(ts)-1))
 		}
-		buckets[b] = append(buckets[b], t)
 	}
-	ix.bucket, ix.buckets = bucket, buckets
+	// The keys are substrings of one string; ends[i] becomes tuple i's
+	// bucket.
+	keys := string(buf)
+	bucket := map[string]int{}
+	var count []int
+	lo := 0
+	for i, hi := range ends {
+		b, found := bucket[keys[lo:hi]]
+		if !found {
+			b = len(count)
+			bucket[keys[lo:hi]] = b
+			count = append(count, 0)
+		}
+		count[b]++
+		ends[i], lo = b, hi
+	}
+	// start[b] runs from bucket b's first slot to its end while placing,
+	// then shifts up one bucket to become its first slot again.
+	start := make([]int, len(count)+1)
+	for b, n := range count {
+		start[b+1] = start[b] + n
+	}
+	tuples := make([]*relational.Tuple, len(ts))
+	for i, t := range ts {
+		b := ends[i]
+		tuples[start[b]] = t
+		start[b]++
+	}
+	copy(start[1:], start[:len(count)])
+	start[0] = 0
+	ix.exact = len(ix.attrs) == len(conjs)
+	ix.bucket, ix.start, ix.tuples = bucket, start, tuples
 	return ix
 }
 

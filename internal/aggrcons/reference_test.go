@@ -8,10 +8,11 @@ import (
 )
 
 // This file keeps GroundAll and Check as they were before one Grounding
-// served a whole pass: GroundAll with a map substitution and a fresh bound
-// slice per tuple, Check grounding and evaluating constraint by constraint
-// and sorting by Ground.Key. The equivalence tests compare the package
-// against them; the Evaluator they use is unchanged.
+// served a whole pass: GroundAll with a map substitution, a fresh bound
+// slice per tuple and every key formatted before the duplicate check,
+// Check grounding and evaluating constraint by constraint, each call by
+// scanning its relation, and sorting by Ground.Key. The equivalence tests
+// compare the package against them.
 
 // RefGroundAll is the reference GroundAll.
 func RefGroundAll(k *Constraint, db *relational.Database) ([]*Ground, error) {
@@ -21,16 +22,6 @@ func RefGroundAll(k *Constraint, db *relational.Database) ([]*Ground, error) {
 	var out []*Ground
 	seen := map[string]bool{}
 	binding := map[string]relational.Value{}
-
-	// relevant variables: those appearing in some call.
-	relevant := map[string]bool{}
-	for _, call := range k.Calls {
-		for _, a := range call.Args {
-			if name, ok := a.IsVar(); ok {
-				relevant[name] = true
-			}
-		}
-	}
 
 	args := make([][]relational.Value, len(k.Calls))
 	for i, call := range k.Calls {
@@ -52,10 +43,7 @@ func RefGroundAll(k *Constraint, db *relational.Database) ([]*Ground, error) {
 			return
 		}
 		seen[string(key)] = true
-		g := &Ground{Source: k, Binding: make(Binding, len(relevant)), Args: make([][]relational.Value, len(k.Calls))}
-		for name := range relevant {
-			g.Binding[name] = binding[name]
-		}
+		g := &Ground{Source: k, Args: make([][]relational.Value, len(k.Calls))}
 		for i := range args {
 			g.Args[i] = slices.Clone(args[i])
 		}
@@ -110,16 +98,19 @@ func RefGroundAll(k *Constraint, db *relational.Database) ([]*Ground, error) {
 // RefCheck is the reference Check.
 func RefCheck(db *relational.Database, acs []*Constraint, eps float64) ([]Violation, error) {
 	var out []Violation
-	ev := NewEvaluator(db)
 	for _, k := range acs {
 		grounds, err := RefGroundAll(k, db)
 		if err != nil {
 			return nil, err
 		}
 		for _, g := range grounds {
-			lhs, err := ev.LHS(g)
-			if err != nil {
-				return nil, err
+			lhs := 0.0
+			for i, call := range k.Calls {
+				v, err := call.Func.Eval(db, g.Args[i])
+				if err != nil {
+					return nil, err
+				}
+				lhs += call.Coeff * v
 			}
 			if !g.satisfiedBy(lhs, eps) {
 				out = append(out, Violation{Ground: g, LHS: lhs})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -103,8 +104,8 @@ func violatedRows(sys *System, vals []float64, eps float64) []int {
 // tolerance tol.
 func (row *LinearRow) holds(vals []float64, tol float64) bool {
 	lhs := 0.0
-	for idx, c := range row.Coeffs {
-		lhs += c * vals[idx]
+	for j, idx := range row.Idx {
+		lhs += row.Coeffs[j] * vals[idx]
 	}
 	switch row.Rel {
 	case aggrcons.LE:
@@ -137,24 +138,19 @@ func componentItems(sys *System, violated []int, frozen []bool) []int {
 	}
 	union := func(a, b int) { parent[find(a)] = find(b) }
 	for _, row := range sys.Rows {
-		first := -1
-		for idx := range row.Coeffs {
-			if first < 0 {
-				first = idx
-			} else {
-				union(first, idx)
-			}
+		for _, idx := range row.Idx[min(1, len(row.Idx)):] {
+			union(row.Idx[0], idx)
 		}
 	}
 	comps := map[int]bool{}
 	for _, ri := range violated {
-		for idx := range sys.Rows[ri].Coeffs {
+		for _, idx := range sys.Rows[ri].Idx {
 			comps[find(idx)] = true
 		}
 	}
 	freq := make(map[int]int)
 	for _, ri := range violated {
-		for idx := range sys.Rows[ri].Coeffs {
+		for _, idx := range sys.Rows[ri].Idx {
 			freq[idx]++
 		}
 	}
@@ -203,7 +199,7 @@ func (s *CardinalitySearchSolver) searchK(sys *System, vals []float64, frozen []
 		unhit := -1
 		for _, ri := range violated {
 			hit := false
-			for idx := range sys.Rows[ri].Coeffs {
+			for _, idx := range sys.Rows[ri].Idx {
 				if inSet[idx] {
 					hit = true
 					break
@@ -219,8 +215,8 @@ func (s *CardinalitySearchSolver) searchK(sys *System, vals []float64, frozen []
 				return false, nil
 			}
 			// Branch over the unhit row's candidate items.
-			items := make([]int, 0, len(sys.Rows[unhit].Coeffs))
-			for idx := range sys.Rows[unhit].Coeffs {
+			items := make([]int, 0, len(sys.Rows[unhit].Idx))
+			for _, idx := range sys.Rows[unhit].Idx {
 				if !frozen[idx] && !inSet[idx] {
 					items = append(items, idx)
 				}
@@ -279,9 +275,13 @@ func (s *CardinalitySearchSolver) searchK(sys *System, vals []float64, frozen []
 // feasible checks whether the system is satisfiable when only the items in
 // set may move, and returns the full value vector on success.
 func (s *CardinalitySearchSolver) feasible(sys *System, vals []float64, set []int, mBound float64, res *Result) (bool, []float64, error) {
+	// The variables follow item order, so a row's terms, visited in item
+	// order, are in variable order.
 	model := milp.NewModel()
 	yv := map[int]milp.Var{}
-	for _, idx := range set {
+	sorted := slices.Clone(set)
+	slices.Sort(sorted)
+	for _, idx := range sorted {
 		vt := milp.Continuous
 		if sys.Domains[idx] == relational.DomainInt {
 			vt = milp.Integer
@@ -292,7 +292,8 @@ func (s *CardinalitySearchSolver) feasible(sys *System, vals []float64, set []in
 		var terms []milp.Term
 		rhs := row.RHS
 		involves := false
-		for idx, c := range row.Coeffs {
+		for j, idx := range row.Idx {
+			c := row.Coeffs[j]
 			rhs -= c * vals[idx]
 			if v, ok := yv[idx]; ok {
 				terms = append(terms, milp.Term{Var: v, Coeff: c})
@@ -318,7 +319,6 @@ func (s *CardinalitySearchSolver) feasible(sys *System, vals []float64, set []in
 			}
 			continue
 		}
-		sortTerms(terms)
 		if err := model.AddConstraint(row.Name, terms, milpRel(row.Rel), rhs); err != nil {
 			return false, nil, err
 		}

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -14,11 +14,14 @@ import (
 
 // LinearRow is one ground steady aggregate constraint translated into a
 // linear (in)equality over the z_i variables (inequality (5) of the paper):
-// sum(Coeffs_i * z_i) Rel RHS, with all constant contributions folded into
-// the right-hand side.
+// sum_j(Coeffs[j] * z_{Idx[j]}) Rel RHS, with all constant contributions
+// folded into the right-hand side. Idx is strictly increasing and no
+// coefficient is zero, so every consumer visits a row's terms, and sums
+// them, in one fixed order.
 type LinearRow struct {
 	Name   string
-	Coeffs map[int]float64
+	Idx    []int
+	Coeffs []float64 // parallel to Idx
 	Rel    aggrcons.Rel
 	RHS    float64
 	Ground *aggrcons.Ground
@@ -28,12 +31,45 @@ type LinearRow struct {
 // steady aggregate constraint of AC on a database instance D. Items lists
 // the involved measure values (the paper's N values), V their current
 // database values, Domains their attribute domains.
+//
+// A system built by BuildSystem finds an item through the database's
+// measure slots and bySlot, which maps each slot to the item's index (-1
+// when the item is not involved). A component from Split asks its parent
+// and maps the answer through local, which holds every parent index's
+// index in its component.
 type System struct {
 	Items   []Item
 	V       []float64
 	Domains []relational.Domain
 	Rows    []LinearRow
-	index   map[Item]int
+	slots   measureSlots
+	bySlot  []int
+	parent  *System
+	local   []int
+}
+
+// measureSlots numbers the measure values of a database in relation
+// registration order, tuple order and scheme order. Tuple IDs are
+// positions, so the slots of a relation are contiguous.
+type measureSlots map[string]relationSlots
+
+// relationSlots places one relation's measure values: measure attr of the
+// tuple with ID id has slot base + id*len(offset) + offset[attr].
+type relationSlots struct {
+	base   int
+	offset map[string]int
+}
+
+// slot returns the slot of measure attr of tuple id in relation rel, or
+// -1 when rel has no such measure. The slot of an id past the relation's
+// last tuple belongs to another item.
+func (m measureSlots) slot(rel string, id int, attr string) int {
+	r := m[rel]
+	off, ok := r.offset[attr]
+	if !ok || id < 0 {
+		return -1
+	}
+	return r.base + id*len(r.offset) + off
 }
 
 // N returns the number of involved values (the paper's N).
@@ -41,7 +77,18 @@ func (s *System) N() int { return len(s.Items) }
 
 // IndexOf returns the variable index of an item, or -1.
 func (s *System) IndexOf(it Item) int {
-	if i, ok := s.index[it]; ok {
+	i := -1
+	switch {
+	case s.parent != nil:
+		if pi := s.parent.IndexOf(it); pi >= 0 {
+			i = s.local[pi]
+		}
+	case s.slots != nil:
+		if sl := s.slots.slot(it.Relation, it.TupleID, it.Attr); sl >= 0 && sl < len(s.bySlot) {
+			i = s.bySlot[sl]
+		}
+	}
+	if i >= 0 && i < len(s.Items) && s.Items[i] == it {
 		return i
 	}
 	return -1
@@ -53,7 +100,7 @@ func (s *System) IndexOf(it Item) int {
 func (s *System) Occurrences() []int {
 	occ := make([]int, len(s.Items))
 	for _, r := range s.Rows {
-		for i := range r.Coeffs {
+		for _, i := range r.Idx {
 			occ[i]++
 		}
 	}
@@ -77,6 +124,11 @@ func BuildSystem(db *relational.Database, acs []*aggrcons.Constraint) (*System, 
 // T_chi from the grounding. Rows are named k#gi after the constraint and
 // the ground's index among all the constraint's grounds, including those
 // whose rows are dropped.
+//
+// Each row accumulates in a dense scratch indexed by measure item, adding
+// the contributions in the order the grounding lists them, and is emitted
+// with its touched items sorted. All rows' terms and names share one
+// backing array each.
 func buildSystem(g *aggrcons.Grounding) (*System, error) {
 	db, acs := g.Database(), g.Constraints()
 	for _, k := range acs {
@@ -88,12 +140,11 @@ func buildSystem(g *aggrcons.Grounding) (*System, error) {
 
 	// Enumerate all measure values in deterministic order (relation
 	// registration order, tuple insertion order, scheme attribute order) so
-	// that z_1..z_N match the paper's tuple-order numbering. A measure item
-	// is all[base[t]+offset[relation][attr]].
+	// that z_1..z_N match the paper's tuple-order numbering: all[sl] is the
+	// item of slot sl.
 	var all []Item
 	var allTuples []*relational.Tuple // parallel to all
-	base := map[*relational.Tuple]int{}
-	offset := map[string]map[string]int{}
+	slots := measureSlots{}
 	for _, relName := range db.RelationNames() {
 		rel := db.Relation(relName)
 		measures := db.MeasuresOf(relName)
@@ -104,9 +155,10 @@ func buildSystem(g *aggrcons.Grounding) (*System, error) {
 		for i, attr := range measures {
 			off[attr] = i
 		}
-		offset[relName] = off
+		slots[relName] = relationSlots{base: len(all), offset: off}
+		all = slices.Grow(all, rel.Len()*len(measures))
+		allTuples = slices.Grow(allTuples, rel.Len()*len(measures))
 		for _, t := range rel.Tuples() {
-			base[t] = len(all)
 			for _, attr := range measures {
 				all = append(all, Item{Relation: relName, TupleID: t.ID(), Attr: attr})
 				allTuples = append(allTuples, t)
@@ -114,109 +166,162 @@ func buildSystem(g *aggrcons.Grounding) (*System, error) {
 		}
 	}
 
+	// rawRow is one emitted row: its name at names[name0:name1] and its
+	// terms at idxs/coeffs[start:end], both of which grow while rows are
+	// emitted.
 	type rawRow struct {
-		name   string
-		coeffs map[int]float64 // index into all
-		rel    aggrcons.Rel
-		rhs    float64
-		ground *aggrcons.Ground
+		name0, name1 int
+		start, end   int
+		rel          aggrcons.Rel
+		rhs          float64
+		ground       *aggrcons.Ground
 	}
-	var raw []rawRow
+	// Every ground emits at most one row, and a row has about one term per
+	// tuple of its calls.
+	rows, nterms := 0, 0
+	for ki, k := range acs {
+		for gi := range g.Grounds(ki) {
+			rows++
+			for ci := range k.Calls {
+				nterms += len(g.Tuples(ki, gi, ci))
+			}
+		}
+	}
+	var (
+		raw     = make([]rawRow, 0, rows)
+		names   []byte
+		idxs    = make([]int, 0, nterms)
+		coeffs  = make([]float64, 0, nterms)
+		acc     = make([]float64, len(all))
+		inRow   = make([]bool, len(all))
+		touched []int
+	)
 	for ki, k := range acs {
 		terms := make([][]formTerm, len(k.Calls))
 		termErrs := make([]error, len(k.Calls))
 		forms := make([]aggrcons.LinearForm, len(k.Calls))
+		// Call ci's measure slots of tuple t start at
+		// bases[ci] + t.ID()*strides[ci].
+		bases, strides := make([]int, len(k.Calls)), make([]int, len(k.Calls))
 		for ci, call := range k.Calls {
+			r := slots[call.Func.Relation]
 			forms[ci] = aggrcons.Linearize(call.Func.Expr)
-			terms[ci], termErrs[ci] = formTerms(db, k, call.Func, forms[ci], offset[call.Func.Relation])
+			terms[ci], termErrs[ci] = formTerms(db, k, call.Func, forms[ci], r.offset)
+			bases[ci], strides[ci] = r.base, len(r.offset)
 		}
 		for gi, gr := range g.Grounds(ki) {
-			row := rawRow{
-				name:   k.Name + "#" + strconv.Itoa(gi),
-				coeffs: map[int]float64{},
-				rel:    k.Rel,
-				rhs:    k.K,
-				ground: gr,
-			}
+			rhs := k.K
 			for ci, call := range k.Calls {
 				tuples := g.Tuples(ki, gi, ci)
 				// Constant summand: e_const * |T_chi| (the paper's
 				// P(chi) = e * |T_chi| case).
-				row.rhs -= call.Coeff * forms[ci].Const * float64(len(tuples))
+				rhs -= call.Coeff * forms[ci].Const * float64(len(tuples))
 				if len(tuples) > 0 && termErrs[ci] != nil {
 					return nil, termErrs[ci]
 				}
 				for _, t := range tuples {
 					for _, ft := range terms[ci] {
 						if ft.offset >= 0 {
-							row.coeffs[base[t]+ft.offset] += call.Coeff * ft.c
+							idx := bases[ci] + t.ID()*strides[ci] + ft.offset
+							if !inRow[idx] {
+								inRow[idx] = true
+								touched = append(touched, idx)
+							}
+							acc[idx] += call.Coeff * ft.c
 						} else {
 							// Non-measure numerical attribute: its value is
 							// fixed, so it contributes a constant.
-							row.rhs -= call.Coeff * ft.c * t.At(ft.pos).AsFloat()
+							rhs -= call.Coeff * ft.c * t.At(ft.pos).AsFloat()
 						}
 					}
 				}
 			}
-			for idx, c := range row.coeffs {
-				if c == 0 {
-					delete(row.coeffs, idx)
+			slices.Sort(touched)
+			start := len(idxs)
+			for _, idx := range touched {
+				if c := acc[idx]; c != 0 {
+					idxs = append(idxs, idx)
+					coeffs = append(coeffs, c)
 				}
+				acc[idx], inRow[idx] = 0, false
 			}
-			if len(row.coeffs) == 0 {
+			touched = touched[:0]
+			if len(idxs) == start && variableFreeHolds(k.Rel, rhs) {
 				// Variable-free row (e.g. a section with neither detail nor
 				// aggregate items): drop it when trivially satisfied, keep
 				// it otherwise so the system is correctly unsatisfiable.
-				sat := false
-				switch row.rel {
-				case aggrcons.LE:
-					sat = 0 <= row.rhs+1e-9
-				case aggrcons.GE:
-					sat = 0 >= row.rhs-1e-9
-				default:
-					sat = math.Abs(row.rhs) <= 1e-9
-				}
-				if sat {
-					continue
-				}
+				continue
 			}
-			raw = append(raw, row)
+			name0 := len(names)
+			names = append(names, k.Name...)
+			names = append(names, '#')
+			names = strconv.AppendInt(names, int64(gi), 10)
+			raw = append(raw, rawRow{name0: name0, name1: len(names), start: start, end: len(idxs), rel: k.Rel, rhs: rhs, ground: gr})
 		}
 	}
 
-	// Keep only the involved values, preserving global order.
-	used := make([]bool, len(all))
-	for _, r := range raw {
-		for idx := range r.coeffs {
-			used[idx] = true
+	// Keep only the involved values, preserving global order. The
+	// renumbering is monotone, so every row stays sorted.
+	bySlot := make([]int, len(all))
+	for i := range bySlot {
+		bySlot[i] = -1
+	}
+	for _, idx := range idxs {
+		bySlot[idx] = 0
+	}
+	n := 0
+	for sl := range bySlot {
+		if bySlot[sl] == 0 {
+			bySlot[sl] = n
+			n++
 		}
 	}
-	remap := make([]int, len(all))
-	sys := &System{}
-	for oldIdx, it := range all {
-		if !used[oldIdx] {
+	sys := &System{
+		Items:   make([]Item, 0, n),
+		V:       make([]float64, 0, n),
+		Domains: make([]relational.Domain, 0, n),
+		slots:   slots,
+		bySlot:  bySlot,
+	}
+	for sl, it := range all {
+		if bySlot[sl] < 0 {
 			continue
 		}
-		remap[oldIdx] = len(sys.Items)
 		sys.Items = append(sys.Items, it)
-		t := allTuples[oldIdx]
+		t := allTuples[sl]
 		sys.V = append(sys.V, t.Get(it.Attr).AsFloat())
 		dom, _ := t.Schema().DomainOf(it.Attr)
 		sys.Domains = append(sys.Domains, dom)
 	}
-	sys.index = make(map[Item]int, len(sys.Items))
-	for i, it := range sys.Items {
-		sys.index[it] = i
+	for j, idx := range idxs {
+		idxs[j] = bySlot[idx]
 	}
-	sys.Rows = make([]LinearRow, 0, len(raw))
-	for _, r := range raw {
-		row := LinearRow{Name: r.name, Coeffs: make(map[int]float64, len(r.coeffs)), Rel: r.rel, RHS: r.rhs, Ground: r.ground}
-		for oldIdx, c := range r.coeffs {
-			row.Coeffs[remap[oldIdx]] = c
+	allNames := string(names)
+	sys.Rows = make([]LinearRow, len(raw))
+	for ri, r := range raw {
+		sys.Rows[ri] = LinearRow{
+			Name:   allNames[r.name0:r.name1],
+			Idx:    idxs[r.start:r.end:r.end],
+			Coeffs: coeffs[r.start:r.end:r.end],
+			Rel:    r.rel,
+			RHS:    r.rhs,
+			Ground: r.ground,
 		}
-		sys.Rows = append(sys.Rows, row)
 	}
 	return sys, nil
+}
+
+// variableFreeHolds reports whether a row without variables, 0 rel rhs,
+// holds within 1e-9.
+func variableFreeHolds(rel aggrcons.Rel, rhs float64) bool {
+	switch rel {
+	case aggrcons.LE:
+		return 0 <= rhs+1e-9
+	case aggrcons.GE:
+		return 0 >= rhs-1e-9
+	default:
+		return math.Abs(rhs) <= 1e-9
+	}
 }
 
 // formTerm is one attribute term c*A of a call's linearized sum
@@ -229,13 +334,20 @@ type formTerm struct {
 	offset int
 }
 
-// formTerms resolves the attribute terms of a call's linear form. The
-// error, for an unknown or non-numerical attribute, applies only to calls
-// whose T_chi is not empty.
+// formTerms resolves the attribute terms of a call's linear form, in
+// attribute-name order so that constant contributions sum in a fixed
+// order. The error, for an unknown or non-numerical attribute, applies
+// only to calls whose T_chi is not empty.
 func formTerms(db *relational.Database, k *aggrcons.Constraint, f *aggrcons.AggFunc, lf aggrcons.LinearForm, measureOffset map[string]int) ([]formTerm, error) {
 	schema := db.Relation(f.Relation).Schema()
-	out := make([]formTerm, 0, len(lf.Coeffs))
-	for attr, c := range lf.Coeffs {
+	attrs := make([]string, 0, len(lf.Coeffs))
+	for attr := range lf.Coeffs {
+		attrs = append(attrs, attr)
+	}
+	slices.Sort(attrs)
+	out := make([]formTerm, 0, len(attrs))
+	for _, attr := range attrs {
+		c := lf.Coeffs[attr]
 		dom, err := schema.DomainOf(attr)
 		if err != nil {
 			return nil, fmt.Errorf("core: constraint %s: %w", k.Name, err)
@@ -263,8 +375,13 @@ func formTerms(db *relational.Database, k *aggrcons.Constraint, f *aggrcons.AggF
 // monolithic solve. Variable-free rows (necessarily violated ones, since
 // satisfied ones were dropped during translation) come back as a final
 // component with no items.
+//
+// The components' items, values, domains, rows and row indexes are carved
+// from one backing array each; a row's coefficients are the parent row's.
+// Components number their items in parent order, so rows stay sorted.
 func (s *System) Split() []*System {
-	parent := make([]int, len(s.Items))
+	n := len(s.Items)
+	parent := make([]int, n)
 	for i := range parent {
 		parent[i] = i
 	}
@@ -277,74 +394,85 @@ func (s *System) Split() []*System {
 		}
 		return x
 	}
+	terms := 0
 	for _, row := range s.Rows {
-		first := -1
-		for idx := range row.Coeffs {
-			if first < 0 {
-				first = idx
-			} else {
-				parent[find(first)] = find(idx)
-			}
+		terms += len(row.Idx)
+		for _, idx := range row.Idx[min(1, len(row.Idx)):] {
+			parent[find(row.Idx[0])] = find(idx)
 		}
 	}
-	// Group item indices by root, preserving order: comp numbers the roots
-	// in order of first appearance.
-	comp := make([]int, len(s.Items))
+	// comp numbers the roots in order of first appearance; compOf, items
+	// and local give every item its component and its index there.
+	comp := make([]int, n)
 	for i := range comp {
 		comp[i] = -1
 	}
-	var groups [][]int
+	compOf := make([]int, n)
+	var items []int // items per component
 	for i := range s.Items {
 		r := find(i)
 		if comp[r] < 0 {
-			comp[r] = len(groups)
-			groups = append(groups, nil)
+			comp[r] = len(items)
+			items = append(items, 0)
 		}
-		groups[comp[r]] = append(groups[comp[r]], i)
+		compOf[i] = comp[r]
+		items[comp[r]]++
 	}
-	var emptyRows []LinearRow
-	rowsByComp := make([][]LinearRow, len(groups))
-	for _, row := range s.Rows {
-		first := -1
-		for idx := range row.Coeffs {
-			first = idx
-			break
+	nc := len(items)
+	rows := make([]int, nc+1) // rows per component; the last holds variable-free rows
+	rowComp := func(row *LinearRow) int {
+		if len(row.Idx) == 0 {
+			return nc
 		}
-		if first < 0 {
-			emptyRows = append(emptyRows, row)
-			continue
-		}
-		ci := comp[find(first)]
-		rowsByComp[ci] = append(rowsByComp[ci], row)
+		return compOf[row.Idx[0]]
 	}
-	// Components partition the items, so one remap serves them all.
-	remap := make([]int, len(s.Items))
-	var out []*System
-	for ci, idxs := range groups {
-		sub := &System{
-			Items:   make([]Item, len(idxs)),
-			V:       make([]float64, len(idxs)),
-			Domains: make([]relational.Domain, len(idxs)),
-			index:   make(map[Item]int, len(idxs)),
-		}
-		for newIdx, oldIdx := range idxs {
-			remap[oldIdx] = newIdx
-			sub.Items[newIdx] = s.Items[oldIdx]
-			sub.index[s.Items[oldIdx]] = newIdx
-			sub.V[newIdx] = s.V[oldIdx]
-			sub.Domains[newIdx] = s.Domains[oldIdx]
-		}
-		for _, row := range rowsByComp[ci] {
-			nr := LinearRow{Name: row.Name, Coeffs: make(map[int]float64, len(row.Coeffs)), Rel: row.Rel, RHS: row.RHS, Ground: row.Ground}
-			for oldIdx, c := range row.Coeffs {
-				nr.Coeffs[remap[oldIdx]] = c
-			}
-			sub.Rows = append(sub.Rows, nr)
-		}
-		out = append(out, sub)
+	for ri := range s.Rows {
+		rows[rowComp(&s.Rows[ri])]++
 	}
-	if len(emptyRows) > 0 {
-		out = append(out, &System{Rows: emptyRows, index: map[Item]int{}})
+	if rows[nc] == 0 {
+		rows = rows[:nc]
+	}
+
+	out := make([]*System, len(rows))
+	subs := make([]System, len(rows))
+	itemsAll := make([]Item, n)
+	vAll := make([]float64, n)
+	domAll := make([]relational.Domain, n)
+	rowsAll := make([]LinearRow, len(s.Rows))
+	local := make([]int, n)
+	itemOff, rowOff := 0, 0
+	for ci := range subs {
+		sub := &subs[ci]
+		sub.parent, sub.local = s, local
+		if ci < nc {
+			k := items[ci]
+			sub.Items = itemsAll[itemOff : itemOff : itemOff+k]
+			sub.V = vAll[itemOff : itemOff : itemOff+k]
+			sub.Domains = domAll[itemOff : itemOff : itemOff+k]
+			itemOff += k
+		}
+		sub.Rows = rowsAll[rowOff : rowOff : rowOff+rows[ci]]
+		rowOff += rows[ci]
+		out[ci] = sub
+	}
+	for i, it := range s.Items {
+		sub := &subs[compOf[i]]
+		local[i] = len(sub.Items)
+		sub.Items = append(sub.Items, it)
+		sub.V = append(sub.V, s.V[i])
+		sub.Domains = append(sub.Domains, s.Domains[i])
+	}
+	idxAll := make([]int, 0, terms)
+	for ri := range s.Rows {
+		row := &s.Rows[ri]
+		sub := &subs[rowComp(row)]
+		start := len(idxAll)
+		for _, idx := range row.Idx {
+			idxAll = append(idxAll, local[idx])
+		}
+		nr := *row
+		nr.Idx = idxAll[start:len(idxAll):len(idxAll)]
+		sub.Rows = append(sub.Rows, nr)
 	}
 	return out
 }
@@ -494,11 +622,10 @@ func Compile(sys *System, opts CompileOptions) (*Compilation, error) {
 			c.Delta[i] = model.AddVar(fmt.Sprintf("d%d", i+1), 0, 1, milp.Binary, 1)
 		}
 		for _, row := range sys.Rows {
-			terms := make([]milp.Term, 0, len(row.Coeffs))
-			for idx, coef := range row.Coeffs {
-				terms = append(terms, milp.Term{Var: c.Z[idx], Coeff: coef})
+			terms := make([]milp.Term, len(row.Idx))
+			for j, idx := range row.Idx {
+				terms[j] = milp.Term{Var: c.Z[idx], Coeff: row.Coeffs[j]}
 			}
-			sortTerms(terms)
 			if err := model.AddConstraint(row.Name, terms, milpRel(row.Rel), row.RHS); err != nil {
 				return nil, err
 			}
@@ -520,13 +647,12 @@ func Compile(sys *System, opts CompileOptions) (*Compilation, error) {
 			c.Delta[i] = model.AddVar(fmt.Sprintf("d%d", i+1), 0, 1, milp.Binary, 1)
 		}
 		for _, row := range sys.Rows {
-			terms := make([]milp.Term, 0, len(row.Coeffs))
+			terms := make([]milp.Term, len(row.Idx))
 			rhs := row.RHS
-			for idx, coef := range row.Coeffs {
-				terms = append(terms, milp.Term{Var: c.Y[idx], Coeff: coef})
-				rhs -= coef * sys.V[idx]
+			for j, idx := range row.Idx {
+				terms[j] = milp.Term{Var: c.Y[idx], Coeff: row.Coeffs[j]}
+				rhs -= row.Coeffs[j] * sys.V[idx]
 			}
-			sortTerms(terms)
 			if err := model.AddConstraint(row.Name, terms, milpRel(row.Rel), rhs); err != nil {
 				return nil, err
 			}
@@ -552,7 +678,7 @@ func Compile(sys *System, opts CompileOptions) (*Compilation, error) {
 		}
 		for _, ri := range violatedRows(sys, vals, 1e-6) {
 			var terms []milp.Term
-			for idx := range sys.Rows[ri].Coeffs {
+			for _, idx := range sys.Rows[ri].Idx {
 				if !pinned[idx] {
 					terms = append(terms, milp.Term{Var: c.Delta[idx], Coeff: 1})
 				}
@@ -560,7 +686,6 @@ func Compile(sys *System, opts CompileOptions) (*Compilation, error) {
 			if len(terms) == 0 {
 				continue // unfixable under the pinned values; leave it to the solver
 			}
-			sortTerms(terms)
 			model.MustAddConstraint(fmt.Sprintf("cover_%s", sys.Rows[ri].Name), terms, milp.GE, 1)
 		}
 	}
@@ -576,10 +701,6 @@ func milpRel(r aggrcons.Rel) milp.Rel {
 	default:
 		return milp.EQ
 	}
-}
-
-func sortTerms(ts []milp.Term) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Var < ts[j].Var })
 }
 
 // ExtractRepair reads a MILP solution vector back into a Repair: every item

@@ -2,11 +2,15 @@ package core_test
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"dart/internal/aggrcons"
+	"dart/internal/consparse"
 	"dart/internal/core"
 	"dart/internal/milp"
 	"dart/internal/relational"
@@ -48,7 +52,7 @@ func TestBuildSystemRunningExample(t *testing.T) {
 	// The Constraint1 row for (Receipts, 2003) must read z2 + z3 - z4 = 0.
 	found := false
 	for _, row := range sys.Rows {
-		if len(row.Coeffs) == 3 && row.Coeffs[1] == 1 && row.Coeffs[2] == 1 && row.Coeffs[3] == -1 && row.RHS == 0 && row.Rel == aggrcons.EQ {
+		if slices.Equal(row.Idx, []int{1, 2, 3}) && slices.Equal(row.Coeffs, []float64{1, 1, -1}) && row.RHS == 0 && row.Rel == aggrcons.EQ {
 			found = true
 		}
 	}
@@ -476,5 +480,59 @@ func TestPracticalMBinding(t *testing.T) {
 	}
 	if math.Abs(res.Repair.Updates[0].New.AsFloat()-220) > 1e-9 {
 		t.Errorf("repair = %v", res.Repair)
+	}
+}
+
+// TestRealRowsSumInFixedOrder checks that a Real-domain row reads the same
+// in every run: the reduced formulation's right-hand side has the same
+// bits and the row check the same verdict each time. The row's constant is
+// its left-hand side summed in item order, so the check at tolerance 0
+// holds exactly when the terms are summed in that order.
+func TestRealRowsSumInFixedOrder(t *testing.T) {
+	db := relational.NewDatabase()
+	r := db.MustAddRelation(relational.MustSchema("R",
+		relational.Attribute{Name: "Name", Domain: relational.DomainString},
+		relational.Attribute{Name: "V", Domain: relational.DomainReal},
+	))
+	if err := db.DesignateMeasure("R", "V"); err != nil {
+		t.Fatal(err)
+	}
+	var calls []string
+	lhs := 0.0
+	for i := 0; i < 12; i++ {
+		name := string(rune('a' + i))
+		c, v := 0.1*float64(1+i%3), 1.1*float64(i+1)+0.01
+		r.MustInsert(relational.String(name), relational.Real(v))
+		calls = append(calls, fmt.Sprintf("%s*f('%s')", strconv.FormatFloat(c, 'g', -1, 64), name))
+		lhs += c * v
+	}
+	src := fmt.Sprintf("func f(n) := SELECT sum(V) FROM R WHERE Name = n\nconstraint k:\n  R(_, _) ==> %s = %s\n",
+		strings.Join(calls, " + "), strconv.FormatFloat(lhs, 'g', -1, 64))
+	cat, err := consparse.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob, err := core.Prepare(db, cat.Constraints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := prob.N(); n < 8 || len(prob.System().Rows) != 1 {
+		t.Fatalf("%d items and %d rows, want at least 8 items in one row", n, len(prob.System().Rows))
+	}
+	var rhs uint64
+	for run := 0; run < 100; run++ {
+		comp, err := core.Compile(prob.System(), core.CompileOptions{Formulation: core.FormulationReduced})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bits := math.Float64bits(comp.Model.Constraint(0).RHS)
+		if run == 0 {
+			rhs = bits
+		} else if bits != rhs {
+			t.Fatalf("run %d: reduced right-hand side %v, first run %v", run, math.Float64frombits(bits), math.Float64frombits(rhs))
+		}
+		if err := prob.VerifyRepair(&core.Repair{}, 0); err != nil {
+			t.Fatalf("run %d: the acquired values fail their own row: %v", run, err)
+		}
 	}
 }

@@ -62,8 +62,8 @@ func greedySolve(prob *Problem, forced map[Item]float64, pick greedyPick) (*Resu
 		}
 		row := sys.Rows[violated[0]]
 		// Candidate items of the row, ordered by the pick policy.
-		items := make([]int, 0, len(row.Coeffs))
-		for idx := range row.Coeffs {
+		items := make([]int, 0, len(row.Idx))
+		for _, idx := range row.Idx {
 			if !frozen[idx] {
 				items = append(items, idx)
 			}
@@ -100,13 +100,15 @@ func greedySolve(prob *Problem, forced map[Item]float64, pick greedyPick) (*Resu
 		})
 		idx := items[0]
 		// Solve the row for vals[idx].
-		rest := 0.0
-		for j, c := range row.Coeffs {
-			if j != idx {
-				rest += c * vals[j]
+		rest, coeff := 0.0, 0.0
+		for j, i := range row.Idx {
+			if i == idx {
+				coeff = row.Coeffs[j]
+			} else {
+				rest += row.Coeffs[j] * vals[i]
 			}
 		}
-		target := (row.RHS - rest) / row.Coeffs[idx]
+		target := (row.RHS - rest) / coeff
 		if sys.Domains[idx] == relational.DomainInt {
 			target = math.Round(target)
 		}

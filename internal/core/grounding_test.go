@@ -87,16 +87,19 @@ func corruptMeasures(t *testing.T, db *relational.Database, k int, rng *rand.Ran
 	}
 }
 
+// sameBits reports whether two floats have the same bits.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
 // sameSystem fails the test unless got equals want: the same items, bit-
 // equal values, the same domains and item index, and row by row the same
-// name, coefficients (bit-equal), relation, right-hand side (bit-equal)
-// and ground.
+// name, item indexes, coefficients (bit-equal), relation, right-hand side
+// (bit-equal) and ground.
 func sameSystem(t *testing.T, what string, got, want *core.System) {
 	t.Helper()
 	if !slices.Equal(got.Items, want.Items) {
 		t.Fatalf("%s: items %v, reference %v", what, got.Items, want.Items)
 	}
-	if !slices.EqualFunc(got.V, want.V, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+	if !slices.EqualFunc(got.V, want.V, sameBits) {
 		t.Fatalf("%s: values %v, reference %v", what, got.V, want.V)
 	}
 	if !slices.Equal(got.Domains, want.Domains) {
@@ -115,13 +118,8 @@ func sameSystem(t *testing.T, what string, got, want *core.System) {
 		if g.Name != w.Name || g.Rel != w.Rel || math.Float64bits(g.RHS) != math.Float64bits(w.RHS) {
 			t.Fatalf("%s row %d: %s %v %v, reference %s %v %v", what, i, g.Name, g.Rel, g.RHS, w.Name, w.Rel, w.RHS)
 		}
-		if len(g.Coeffs) != len(w.Coeffs) {
-			t.Fatalf("%s row %s: coefficients %v, reference %v", what, g.Name, g.Coeffs, w.Coeffs)
-		}
-		for idx, c := range w.Coeffs {
-			if gc, ok := g.Coeffs[idx]; !ok || math.Float64bits(gc) != math.Float64bits(c) {
-				t.Fatalf("%s row %s: coefficients %v, reference %v", what, g.Name, g.Coeffs, w.Coeffs)
-			}
+		if !slices.Equal(g.Idx, w.Idx) || !slices.EqualFunc(g.Coeffs, w.Coeffs, sameBits) {
+			t.Fatalf("%s row %s: terms %v %v, reference %v %v", what, g.Name, g.Idx, g.Coeffs, w.Idx, w.Coeffs)
 		}
 		if (g.Ground == nil) != (w.Ground == nil) || g.Ground != nil && g.Ground.Key() != w.Ground.Key() {
 			t.Fatalf("%s row %s: ground differs from the reference", what, g.Name)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -139,7 +140,7 @@ func (p *Problem) Evidence(it Item, max int) []string {
 	}
 	var out []string
 	for _, r := range p.sys.Rows {
-		if _, ok := r.Coeffs[i]; !ok {
+		if _, ok := slices.BinarySearch(r.Idx, i); !ok {
 			continue
 		}
 		if r.Ground != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"dart/internal/aggrcons"
@@ -10,12 +11,14 @@ import (
 )
 
 // This file keeps BuildSystem and System.Split as they were before the
-// translation read T_chi from a Grounding: BuildSystem validating and
-// checking steadiness, then grounding each constraint with GroundAll and
-// one Evaluator, with Item-keyed maps for the measure index and the
-// renumbering; Split grouping through maps. The equivalence tests compare
-// the package against them. GroundAll is held to its own reference in
-// package aggrcons.
+// translation read T_chi from a Grounding and rows left maps: BuildSystem
+// validating and checking steadiness, then grounding each constraint with
+// RefGroundAll and scanning each call's relation, accumulating each row in
+// a map, with an Item-keyed map for the measure index and a map for the
+// renumbering; Split grouping and renumbering through maps. Only the
+// finished rows take the slice layout, their terms sorted by item. The
+// equivalence tests compare the package against them; the reference
+// systems have no item index.
 
 // RefBuildSystem is the reference BuildSystem.
 func RefBuildSystem(db *relational.Database, acs []*aggrcons.Constraint) (*System, error) {
@@ -59,12 +62,8 @@ func RefBuildSystem(db *relational.Database, acs []*aggrcons.Constraint) (*Syste
 		ground *aggrcons.Ground
 	}
 	var raw []rawRow
-	ev := aggrcons.NewEvaluator(db)
 	for _, k := range acs {
-		grounds, err := k.GroundAll(db)
-		if err != nil {
-			return nil, err
-		}
+		grounds := RefGroundAll(k, db)
 		forms := make([]aggrcons.LinearForm, len(k.Calls))
 		for ci, call := range k.Calls {
 			forms[ci] = aggrcons.Linearize(call.Func.Expr)
@@ -79,7 +78,7 @@ func RefBuildSystem(db *relational.Database, acs []*aggrcons.Constraint) (*Syste
 			}
 			for ci, call := range k.Calls {
 				lf := forms[ci]
-				tuples, err := ev.Tuples(call.Func, g.Args[ci])
+				tuples, err := call.Func.Tuples(db, g.Args[ci])
 				if err != nil {
 					return nil, err
 				}
@@ -87,7 +86,8 @@ func RefBuildSystem(db *relational.Database, acs []*aggrcons.Constraint) (*Syste
 				// P(chi) = e * |T_chi| case).
 				row.rhs -= call.Coeff * lf.Const * float64(len(tuples))
 				for _, t := range tuples {
-					for attr, c := range lf.Coeffs {
+					for _, attr := range sortedKeys(lf.Coeffs) {
+						c := lf.Coeffs[attr]
 						dom, err := t.Schema().DomainOf(attr)
 						if err != nil {
 							return nil, fmt.Errorf("core: constraint %s: %w", k.Name, err)
@@ -146,25 +146,104 @@ func RefBuildSystem(db *relational.Database, acs []*aggrcons.Constraint) (*Syste
 	}
 	sort.Ints(keep)
 	remap := map[int]int{}
-	sys := &System{index: map[Item]int{}}
+	sys := &System{}
 	for newIdx, oldIdx := range keep {
 		remap[oldIdx] = newIdx
 		it := all[oldIdx]
 		sys.Items = append(sys.Items, it)
-		sys.index[it] = newIdx
 		t := allTuples[oldIdx]
 		sys.V = append(sys.V, t.Get(it.Attr).AsFloat())
 		dom, _ := t.Schema().DomainOf(it.Attr)
 		sys.Domains = append(sys.Domains, dom)
 	}
 	for _, r := range raw {
-		row := LinearRow{Name: r.name, Coeffs: map[int]float64{}, Rel: r.rel, RHS: r.rhs, Ground: r.ground}
+		coeffs := map[int]float64{}
 		for oldIdx, c := range r.coeffs {
-			row.Coeffs[remap[oldIdx]] = c
+			coeffs[remap[oldIdx]] = c
 		}
-		sys.Rows = append(sys.Rows, row)
+		sys.Rows = append(sys.Rows, refRow(LinearRow{Name: r.name, Rel: r.rel, RHS: r.rhs, Ground: r.ground}, coeffs))
 	}
 	return sys, nil
+}
+
+// refRow returns row with the terms of coeffs, sorted by item.
+func refRow(row LinearRow, coeffs map[int]float64) LinearRow {
+	row.Idx, row.Coeffs = nil, nil
+	for _, idx := range sortedKeys(coeffs) {
+		row.Idx = append(row.Idx, idx)
+		row.Coeffs = append(row.Coeffs, coeffs[idx])
+	}
+	return row
+}
+
+// sortedKeys returns the keys of m in increasing order.
+func sortedKeys[K int | string, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// RefGroundAll is the reference GroundAll, written against the exported
+// API: a map substitution, every ground's Key formatted before the
+// duplicate check, and every ground allocated on its own.
+func RefGroundAll(k *aggrcons.Constraint, db *relational.Database) []*aggrcons.Ground {
+	var out []*aggrcons.Ground
+	seen := map[string]bool{}
+	binding := map[string]relational.Value{}
+	emit := func() {
+		g := &aggrcons.Ground{Source: k, Args: make([][]relational.Value, len(k.Calls))}
+		for i, call := range k.Calls {
+			for _, a := range call.Args {
+				v, _ := a.IsConst()
+				if name, ok := a.IsVar(); ok {
+					v = binding[name]
+				}
+				g.Args[i] = append(g.Args[i], v)
+			}
+		}
+		if key := g.Key(); !seen[key] {
+			seen[key] = true
+			out = append(out, g)
+		}
+	}
+	var match func(atomIdx int)
+	match = func(atomIdx int) {
+		if atomIdx == len(k.Body) {
+			emit()
+			return
+		}
+		atom := k.Body[atomIdx]
+		for _, t := range db.Relation(atom.Relation).Tuples() {
+			var bound []string
+			ok := true
+			for i, a := range atom.Args {
+				if c, isConst := a.IsConst(); isConst {
+					ok = c.Equal(t.At(i))
+				} else if name, isVar := a.IsVar(); isVar {
+					if prev, has := binding[name]; has {
+						ok = prev.Equal(t.At(i))
+					} else {
+						binding[name] = t.At(i)
+						bound = append(bound, name)
+					}
+				}
+				if !ok {
+					break
+				}
+			}
+			if ok {
+				match(atomIdx + 1)
+			}
+			for _, name := range bound {
+				delete(binding, name)
+			}
+		}
+	}
+	match(0)
+	return out
 }
 
 // RefSplit is the reference System.Split.
@@ -184,7 +263,7 @@ func RefSplit(s *System) []*System {
 	}
 	for _, row := range s.Rows {
 		first := -1
-		for idx := range row.Coeffs {
+		for _, idx := range row.Idx {
 			if first < 0 {
 				first = idx
 			} else {
@@ -207,7 +286,7 @@ func RefSplit(s *System) []*System {
 	rowsByRoot := map[int][]LinearRow{}
 	for _, row := range s.Rows {
 		first := -1
-		for idx := range row.Coeffs {
+		for _, idx := range row.Idx {
 			first = idx
 			break
 		}
@@ -220,26 +299,25 @@ func RefSplit(s *System) []*System {
 	}
 	for _, r := range roots {
 		idxs := groups[r]
-		sub := &System{index: map[Item]int{}}
+		sub := &System{}
 		remap := map[int]int{}
 		for newIdx, oldIdx := range idxs {
 			remap[oldIdx] = newIdx
 			sub.Items = append(sub.Items, s.Items[oldIdx])
-			sub.index[s.Items[oldIdx]] = newIdx
 			sub.V = append(sub.V, s.V[oldIdx])
 			sub.Domains = append(sub.Domains, s.Domains[oldIdx])
 		}
 		for _, row := range rowsByRoot[r] {
-			nr := LinearRow{Name: row.Name, Coeffs: map[int]float64{}, Rel: row.Rel, RHS: row.RHS, Ground: row.Ground}
-			for oldIdx, c := range row.Coeffs {
-				nr.Coeffs[remap[oldIdx]] = c
+			coeffs := map[int]float64{}
+			for j, oldIdx := range row.Idx {
+				coeffs[remap[oldIdx]] = row.Coeffs[j]
 			}
-			sub.Rows = append(sub.Rows, nr)
+			sub.Rows = append(sub.Rows, refRow(row, coeffs))
 		}
 		out = append(out, sub)
 	}
 	if len(emptyRows) > 0 {
-		out = append(out, &System{Rows: emptyRows, index: map[Item]int{}})
+		out = append(out, &System{Rows: emptyRows})
 	}
 	return out
 }

@@ -226,7 +226,7 @@ func (s *MILPSolver) solveComponent(ctx context.Context, prob *Problem, fp strin
 		span.SetInt("rows", len(sub.Rows))
 		occ := 0
 		for _, r := range sub.Rows {
-			occ += len(r.Coeffs)
+			occ += len(r.Idx)
 		}
 		span.SetInt("occurrences", occ)
 		ctx = obs.ContextWithSpan(ctx, span)

@@ -99,10 +99,12 @@ func (g *Generator) Generate(instances []*wrapper.Instance) (*relational.Databas
 		}
 	}
 	var rowErrs []RowError
+	rel.Grow(len(instances))
+	attrs := g.Schema.Attributes()
+	vals := make([]relational.Value, len(attrs)) // Insert copies it
 	for _, in := range instances {
-		vals := make([]relational.Value, g.Schema.Arity())
 		ok := true
-		for i, attr := range g.Schema.Attributes() {
+		for i, attr := range attrs {
 			var raw string
 			if headline, fromCell := g.CellOf[attr.Name]; fromCell {
 				v, found := in.Get(headline)

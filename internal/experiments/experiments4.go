@@ -97,8 +97,8 @@ func violatedSystemRows(sys *core.System) []int {
 	var out []int
 	for ri, row := range sys.Rows {
 		lhs := 0.0
-		for idx, c := range row.Coeffs {
-			lhs += c * sys.V[idx]
+		for j, idx := range row.Idx {
+			lhs += row.Coeffs[j] * sys.V[idx]
 		}
 		d := lhs - row.RHS
 		ok := false

@@ -137,6 +137,43 @@ func TestRelationClone(t *testing.T) {
 	}
 }
 
+// TestRelationIDsArePositions inserts into room reserved by Grow and past
+// it, and checks that every tuple's ID is its position, that TupleByID finds it,
+// that each tuple keeps its own values, and that a clone and its original
+// stay apart under SetValue and Insert.
+func TestRelationIDsArePositions(t *testing.T) {
+	r := NewRelation(cashBudgetSchema(t))
+	r.Grow(0)
+	r.Grow(16)
+	for i := 0; i < 40; i++ {
+		r.MustInsert(Int(int64(2000+i)), String("Receipts"), String("cash sales"), String("det"), Int(int64(i)))
+	}
+	c := r.Clone()
+	for i, tp := range r.Tuples() {
+		if tp.ID() != i || r.TupleByID(i) != tp || tp.Get("Value") != Int(int64(i)) || tp.Get("Year") != Int(int64(2000+i)) {
+			t.Fatalf("tuple %d: ID %d, TupleByID %v, values %v", i, tp.ID(), r.TupleByID(i), tp)
+		}
+		if err := c.SetValue(i, "Value", Int(-1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []int{-1, 40} {
+		if r.TupleByID(id) != nil {
+			t.Errorf("TupleByID(%d) found a tuple", id)
+		}
+	}
+	if err := r.SetValue(39, "Value", Int(7)); err != nil {
+		t.Fatal(err)
+	}
+	r.MustInsert(Int(2040), String("Receipts"), String("cash sales"), String("det"), Int(40))
+	if c.Len() != 40 || c.TupleByID(39).Get("Value") != Int(-1) || r.TupleByID(0).Get("Value") != Int(0) {
+		t.Error("clone and original share storage")
+	}
+	if got := r.TupleByID(40); got == nil || got.ID() != 40 || got.Get("Value") != Int(40) || r.TupleByID(39).Get("Value") != Int(7) {
+		t.Errorf("insert after clone: %v, previous %v", got, r.TupleByID(39))
+	}
+}
+
 func TestDatabaseMeasures(t *testing.T) {
 	db := NewDatabase()
 	db.MustAddRelation(cashBudgetSchema(t))

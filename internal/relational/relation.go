@@ -2,6 +2,7 @@ package relational
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -18,7 +19,9 @@ type Tuple struct {
 // Schema returns the scheme the tuple conforms to.
 func (t *Tuple) Schema() *Schema { return t.schema }
 
-// ID returns the relation-local tuple identifier.
+// ID returns the relation-local tuple identifier. Identifiers number the
+// tuples in insertion order from 0, and a relation never removes a tuple,
+// so a tuple's identifier is its position in Relation.Tuples.
 func (t *Tuple) ID() int { return t.id }
 
 // Get returns the value of the named attribute (the paper's t[A]).
@@ -55,6 +58,15 @@ type Relation struct {
 	schema *Schema
 	tuples []*Tuple
 	nextID int
+	// spare is the room Grow reserved for later inserts, nil when used
+	// up; a pointer keeps the relation itself as small as before.
+	spare *reserve
+}
+
+// reserve holds room for tuples and their values.
+type reserve struct {
+	tuples []Tuple
+	vals   []Value
 }
 
 // NewRelation creates an empty relation over the given scheme.
@@ -82,10 +94,32 @@ func (r *Relation) Insert(vals ...Value) (*Tuple, error) {
 				r.schema.Name(), r.schema.Attribute(i).Name, want, v.Kind(), v)
 		}
 	}
-	t := &Tuple{schema: r.schema, id: r.nextID, vals: append([]Value(nil), vals...)}
+	var t *Tuple
+	if sp := r.spare; sp != nil {
+		t = &sp.tuples[0]
+		t.vals = sp.vals[:len(vals):len(vals)]
+		sp.tuples, sp.vals = sp.tuples[1:], sp.vals[len(vals):]
+		if len(sp.tuples) == 0 {
+			r.spare = nil
+		}
+	} else {
+		t = &Tuple{vals: make([]Value, len(vals))}
+	}
+	t.schema, t.id = r.schema, r.nextID
+	copy(t.vals, vals)
 	r.nextID++
 	r.tuples = append(r.tuples, t)
 	return t, nil
+}
+
+// Grow reserves room for n more tuples: the next n inserts share one
+// array of tuples and one of values and allocate nothing.
+func (r *Relation) Grow(n int) {
+	if n <= 0 {
+		return
+	}
+	r.tuples = slices.Grow(r.tuples, n)
+	r.spare = &reserve{tuples: make([]Tuple, n), vals: make([]Value, n*r.schema.Arity())}
 }
 
 // MustInsert is Insert that panics on error; for statically known tuples.
@@ -103,12 +137,10 @@ func (r *Relation) Tuples() []*Tuple { return r.tuples }
 
 // TupleByID returns the tuple with the given identifier, or nil.
 func (r *Relation) TupleByID(id int) *Tuple {
-	for _, t := range r.tuples {
-		if t.id == id {
-			return t
-		}
+	if id < 0 || id >= len(r.tuples) {
+		return nil
 	}
-	return nil
+	return r.tuples[id]
 }
 
 // Select returns the tuples satisfying the predicate, in insertion order.
@@ -143,10 +175,16 @@ func (r *Relation) SetValue(id int, attr string, v Value) error {
 }
 
 // Clone returns a deep copy of the relation (tuple identifiers preserved).
+// The copied tuples, and their values, share one array each.
 func (r *Relation) Clone() *Relation {
 	c := &Relation{schema: r.schema, nextID: r.nextID, tuples: make([]*Tuple, len(r.tuples))}
+	ts := make([]Tuple, len(r.tuples))
+	vals := make([]Value, 0, len(r.tuples)*r.schema.Arity())
 	for i, t := range r.tuples {
-		c.tuples[i] = &Tuple{schema: t.schema, id: t.id, vals: append([]Value(nil), t.vals...)}
+		off := len(vals)
+		vals = append(vals, t.vals...)
+		ts[i] = Tuple{schema: t.schema, id: t.id, vals: vals[off:len(vals):len(vals)]}
+		c.tuples[i] = &ts[i]
 	}
 	return c
 }

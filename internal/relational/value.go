@@ -9,7 +9,9 @@
 package relational
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -184,6 +186,23 @@ func (v Value) Append(dst []byte) []byte {
 	case DomainReal:
 		return strconv.AppendFloat(dst, v.r, 'g', -1, 64)
 	default:
+		return append(dst, v.s...)
+	}
+}
+
+// AppendIdentity appends an encoding of v under which two values encode
+// alike exactly when they have the same kind and the same integer, the
+// same float bits or the same string. Unlike Equal, it tells -0 from +0
+// and finds a NaN identical to a NaN of the same bits.
+func (v Value) AppendIdentity(dst []byte) []byte {
+	dst = append(dst, byte(v.kind))
+	switch v.kind {
+	case DomainInt:
+		return binary.LittleEndian.AppendUint64(dst, uint64(v.i))
+	case DomainReal:
+		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.r))
+	default:
+		dst = binary.AppendUvarint(dst, uint64(len(v.s)))
 		return append(dst, v.s...)
 	}
 }
