@@ -49,7 +49,6 @@ func run() error {
 		interactive  = flag.Bool("interactive", false, "validate proposed repairs on stdin")
 		showMILP     = flag.Bool("show-milp", false, "print the S*(AC) MILP instance (Fig. 4 style)")
 		solverName   = flag.String("solver", "milp", "repair solver: milp, milp-literal, cardsearch, greedy-aggregate, greedy-local")
-		solverWork   = flag.Int("solver-workers", 0, "branch-and-bound worker budget for the MILP solvers (0 = GOMAXPROCS); never changes the repair")
 		saveFile     = flag.String("save", "", "write the repaired database to this file (relational text format)")
 		lpFile       = flag.String("save-lp", "", "write the S*(AC) MILP instance to this file (CPLEX LP format)")
 		timeout      = flag.Duration("timeout", 0, "abort the run after this long (e.g. 30s); 0 = no limit")
@@ -95,7 +94,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	solver, err := dart.SolverNamed(*solverName, *solverWork)
+	solver, err := dart.SolverNamed(*solverName)
 	if err != nil {
 		return err
 	}

@@ -127,16 +127,6 @@ func benchMILPModel(seed int64) *milp.Model {
 // writes one {bench, ns_op, allocs_op} row per benchmark, giving CI a
 // machine-readable perf baseline per PR.
 func writeBenchJSON(path string) error {
-	milpBench := func(workers int) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := milp.Solve(benchMILPModel(7331), milp.MILPOptions{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
 	walRecord := func(i int) *store.Record {
 		return &store.Record{
 			Type:     store.RecTransition,
@@ -157,8 +147,15 @@ func writeBenchJSON(path string) error {
 		name string
 		fn   func(b *testing.B)
 	}{
-		{"MILPSolveSeq", milpBench(1)},
-		{"MILPSolvePar4", milpBench(4)},
+		// Named MILPSolveSeq so that earlier BENCH_PR artifacts compare.
+		{"MILPSolveSeq", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := milp.Solve(benchMILPModel(7331), milp.MILPOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 		{"WALAppend", func(b *testing.B) {
 			dir, err := os.MkdirTemp("", "dartbench-wal")
 			if err != nil {

@@ -75,7 +75,6 @@ func run() error {
 	var (
 		addr         = flag.String("addr", ":8080", "HTTP listen address")
 		workers      = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		solverWork   = flag.Int("solver-workers", 0, "default branch-and-bound worker budget per job (0 = GOMAXPROCS); jobs may override via solver_workers")
 		queueCap     = flag.Int("queue", 1024, "pending-job queue capacity")
 		jobTimeout   = flag.Duration("job-timeout", 60*time.Second, "default per-job deadline")
 		attempts     = flag.Int("attempts", 3, "max runs per job (retries are attempts-1)")
@@ -131,7 +130,6 @@ func run() error {
 
 	srv, err := service.New(service.Config{
 		Workers:            *workers,
-		SolverWorkers:      *solverWork,
 		QueueCapacity:      *queueCap,
 		JobTimeout:         *jobTimeout,
 		MaxAttempts:        *attempts,

@@ -90,15 +90,13 @@ func ParseMetadata(src string) (*Metadata, error) { return metadata.Parse(src) }
 func NewMILPSolver() Solver { return &core.MILPSolver{Formulation: core.FormulationReduced} }
 
 // SolverNamed returns the repair solver called name: milp (also ""),
-// milp-literal, cardsearch, greedy-aggregate or greedy-local. workers is
-// the branch-and-bound worker budget of the MILP solvers (0 = GOMAXPROCS);
-// the others ignore it.
-func SolverNamed(name string, workers int) (Solver, error) {
+// milp-literal, cardsearch, greedy-aggregate or greedy-local.
+func SolverNamed(name string) (Solver, error) {
 	switch name {
 	case "", "milp":
-		return &core.MILPSolver{Formulation: core.FormulationReduced, SolverWorkers: workers}, nil
+		return NewMILPSolver(), nil
 	case "milp-literal":
-		return &core.MILPSolver{Formulation: core.FormulationLiteral, SolverWorkers: workers}, nil
+		return &core.MILPSolver{Formulation: core.FormulationLiteral}, nil
 	case "cardsearch":
 		return &core.CardinalitySearchSolver{}, nil
 	case "greedy-aggregate":
@@ -174,7 +172,7 @@ type Result struct {
 	// without solver work (nonzero only in multi-iteration operator loops).
 	ComponentsSolved, ComponentsReused int
 	// SolverNodes totals the branch-and-bound nodes explored by the repair
-	// solver (schedule-dependent when solving with parallel workers).
+	// solver.
 	SolverNodes int
 }
 

@@ -84,12 +84,6 @@ type MILPSolver struct {
 	// DisableDecomposition solves the whole system as one MILP instead of
 	// per connected component (for the E3 ablation).
 	DisableDecomposition bool
-	// SolverWorkers is the branch-and-bound worker budget of each component
-	// solve; 0 means GOMAXPROCS, and an explicit Options.Workers takes
-	// precedence. Components solve one after another. Worker counts never
-	// change results (see milp.MILPOptions.Workers), so SolverWorkers does
-	// not participate in the memo fingerprint.
-	SolverWorkers int
 	// DisableWarmStart turns off the warm-start cutoff derived from a
 	// prepared problem's previous solve of the same component (for
 	// benchmarking the effect; results are identical either way).
@@ -276,12 +270,9 @@ func (s *MILPSolver) solveSystem(ctx context.Context, sys *System, forced map[It
 	if ctx.Done() != nil {
 		opts.Cancel = ctx.Err
 	}
-	if opts.Workers == 0 {
-		opts.Workers = s.SolverWorkers
-	}
-	// Attach the branch-and-bound's per-worker spans and search events to
-	// the enclosing span (the component solve, typically). Observational
-	// only: never part of the solver fingerprint.
+	// Attach the branch-and-bound's search events to the enclosing span
+	// (the component solve, typically). Observational only: never part of
+	// the solver fingerprint.
 	opts.Trace = obs.FromContext(ctx)
 	mBound := s.BigM
 	if mBound <= 0 {

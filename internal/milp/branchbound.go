@@ -3,7 +3,6 @@ package milp
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"dart/internal/obs"
@@ -20,20 +19,10 @@ type MILPOptions struct {
 	IntTol float64
 	// DisableRounding turns off the LP-rounding incumbent heuristic.
 	DisableRounding bool
-	// Workers is the number of branch-and-bound workers pulling nodes from
-	// the shared best-first frontier; 0 means GOMAXPROCS, 1 solves
-	// sequentially (inline, no goroutines). Worker count never changes the
-	// result of a completed search: incumbent ties resolve by a
-	// deterministic node-sequence rule, so parallel and sequential solves
-	// return the same status, objective, and solution (see parallel.go for
-	// the argument; node and iteration COUNTS do vary with scheduling).
-	Workers int
 	// Cancel, when non-nil, is polled once per branch-and-bound node (and
 	// once before a pure-LP dispatch); a non-nil return aborts the solve
 	// with that error. Callers plumb context cancellation through it as
 	// ctx.Err, so deadline and cancellation semantics survive unwrapped.
-	// With more than one worker the hook is called concurrently and must be
-	// goroutine-safe (ctx.Err is).
 	Cancel func() error
 	// CutoffObjective, when non-nil, declares that a feasible solution with
 	// this objective value is already known (a warm start from a previous
@@ -46,10 +35,9 @@ type MILPOptions struct {
 	// objective coefficients integral on integer variables) — the
 	// card-minimal repair objective is one — and ignored otherwise.
 	CutoffObjective *float64
-	// Trace, when non-nil, is the parent span the search attaches its
-	// observability to: one "milp.worker" child span per worker (node and
-	// LP-iteration counts) plus "incumbent" events on every incumbent
-	// replacement and a "cutoff" event when a warm-start cutoff is armed.
+	// Trace, when non-nil, is the span the search records its events on:
+	// an "incumbent" event on every incumbent replacement and a "cutoff"
+	// event when a warm-start cutoff is armed.
 	// When the span's trace is additionally bound to a live telemetry bus
 	// (obs.Span.Live), the search publishes a solver event timeline —
 	// incumbent / periodic progress / done, each with the bound, a monotone
@@ -69,40 +57,26 @@ func (o MILPOptions) withDefaults() MILPOptions {
 	return o
 }
 
-// workerCount resolves the configured worker count.
-func (o MILPOptions) workerCount() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // MILPResult is the outcome of a mixed-integer solve.
 type MILPResult struct {
 	Status    Status
 	Objective float64
 	X         []float64
-	// Nodes is the number of branch-and-bound nodes explored. Under
-	// parallel search the count depends on scheduling (stale incumbents
-	// under-prune), so it is reproducible only with Workers == 1.
+	// Nodes is the number of branch-and-bound nodes explored.
 	Nodes int
-	// Iterations is the total simplex pivot count across all nodes; like
-	// Nodes it is schedule-dependent when solving in parallel.
+	// Iterations is the total simplex pivot count across all nodes.
 	Iterations int
 }
 
 // bbNode is one branch-and-bound subproblem. Instead of cloning full bound
 // vectors, a node records the single bound its branch tightened; effective
 // bounds are materialized by walking the parent chain root-to-leaf into
-// worker-local arrays (deeper deltas override shallower ones).
+// the search's scratch arrays (deeper deltas override shallower ones).
 //
 // seq is the node's position in the branch tree, independent of exploration
 // order: "" for the root, parent.seq+"0" for the down child, parent.seq+"1"
-// for the up child. The tree itself is a function of (model, options) only
-// — every node's LP relaxation and branching variable are deterministic —
-// so lexicographic order on seq ranks nodes identically in every schedule.
-// That rank breaks incumbent ties, which is what makes parallel solves
-// return the same answer as sequential ones.
+// for the up child. Lexicographic order on seq breaks incumbent ties (see
+// search.go), which defines the answer among tied optima.
 type bbNode struct {
 	parent    *bbNode
 	branchVar int
@@ -144,7 +118,7 @@ func (q nodeQueue) Less(i, j int) bool {
 	if q[i].depth != q[j].depth {
 		return q[i].depth > q[j].depth // deeper first among equal bounds
 	}
-	return q[i].seq < q[j].seq // schedule-independent total order
+	return q[i].seq < q[j].seq // total order: ties pop in one fixed order
 }
 func (q *nodeQueue) Push(x any) { *q = append(*q, x.(*bbNode)) }
 func (q *nodeQueue) Pop() any {
@@ -197,10 +171,8 @@ func objIsIntegral(m *Model) bool {
 	return true
 }
 
-// branchAndBound runs the (possibly parallel) best-first search: it builds
-// the shared read-only problem description plus the mutex-guarded search
-// state, seeds the frontier with the root, and lets Workers workers drain
-// it. Workers == 1 runs the same worker loop inline.
+// branchAndBound tightens the root bounds, arms the warm-start cutoff and
+// live telemetry, and runs the best-first search (search.go).
 func branchAndBound(m *Model, opt MILPOptions) (*MILPResult, error) {
 	nv := m.NumVars()
 
@@ -230,7 +202,7 @@ func branchAndBound(m *Model, opt MILPOptions) (*MILPResult, error) {
 		opt.Trace.EventFloat("cutoff", "objective", *opt.CutoffObjective)
 	}
 
-	p := &bbProblem{
+	b := &bbSearch{
 		m:        m,
 		cs:       buildCSR(m),
 		opt:      opt,
@@ -238,42 +210,31 @@ func branchAndBound(m *Model, opt MILPOptions) (*MILPResult, error) {
 		cutoff:   cutoff,
 		rootLB:   rootLB,
 		rootUB:   rootUB,
+		s:        acquireSimplex(),
+		lb:       make([]float64, nv),
+		ub:       make([]float64, nv),
+		x:        make([]float64, nv),
+		cand:     make([]float64, nv),
 	}
-	sh := newBBShared(&bbNode{bound: math.Inf(-1)})
-	nw := opt.workerCount()
+	defer releaseSimplex(b.s)
 	if opt.Trace.IsLive() {
 		// Live telemetry is armed once per solve; a solve whose trace is
-		// not bus-bound leaves sh.prog nil and pays nothing per node.
-		sh.prog = newBBSearchProgress(opt.Trace, nw)
+		// not bus-bound leaves b.prog nil and pays nothing per node.
+		b.prog = newBBSearchProgress()
 	}
-
-	if nw <= 1 {
-		p.runWorker(sh, 0)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				p.runWorker(sh, w)
-			}(w)
-		}
-		wg.Wait()
-	}
-	res, err := sh.result()
-	if sh.prog != nil && err == nil {
-		sh.publishDone(p, res)
+	res, err := b.run()
+	if b.prog != nil && err == nil {
+		b.publishDone(res)
 	}
 	return res, err
 }
 
 // candidateObjective is the objective value committed for a feasible
 // integral candidate. With a provably integral objective it is recomputed
-// exactly from the candidate point and rounded to the nearest integer,
-// which makes it schedule-independent: every worker that reaches an optimal
-// candidate commits the identical float, so incumbent ties are exact and
-// the deterministic sequence tie-break decides. Otherwise the LP objective
-// is used as before.
+// exactly from the candidate point and rounded to the nearest integer, so
+// candidates of equal value commit the identical float, incumbent ties are
+// exact and the sequence tie-break decides. Otherwise the LP objective is
+// used.
 func candidateObjective(m *Model, x []float64, lpObj float64, integral bool) float64 {
 	if !integral {
 		return lpObj

@@ -389,3 +389,100 @@ func TestMILPMixedMatchesBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// randomIntegerModel builds a reproducible random integer program with
+// integral objective coefficients.
+func randomIntegerModel(src int64) *Model {
+	r := rand.New(rand.NewSource(src))
+	m := NewModel()
+	nv := 3 + r.Intn(4)
+	for j := 0; j < nv; j++ {
+		m.AddVar("x", 0, float64(1+r.Intn(4)), Integer, float64(r.Intn(13)-6))
+	}
+	nc := 2 + r.Intn(3)
+	for i := 0; i < nc; i++ {
+		terms := make([]Term, nv)
+		for j := 0; j < nv; j++ {
+			terms[j] = Term{Var(j), float64(r.Intn(9) - 4)}
+		}
+		rel := []Rel{LE, GE, EQ}[r.Intn(3)]
+		m.MustAddConstraint("c", terms, rel, float64(r.Intn(19)-6))
+	}
+	return m
+}
+
+// sameResult asserts two solves agree bit for bit on status and, when
+// optimal, on objective and solution.
+func sameResult(t *testing.T, label string, a, b *MILPResult) {
+	t.Helper()
+	if a.Status != b.Status {
+		t.Errorf("%s: status %v vs %v", label, a.Status, b.Status)
+		return
+	}
+	if a.Status != StatusOptimal {
+		return
+	}
+	//dartvet:allow floatcmp -- the reproducibility guarantee is bit-identical objectives, so the test compares exactly
+	if a.Objective != b.Objective {
+		t.Errorf("%s: objective %v vs %v", label, a.Objective, b.Objective)
+	}
+	if len(a.X) != len(b.X) {
+		t.Fatalf("%s: len(X) %d vs %d", label, len(a.X), len(b.X))
+	}
+	for j := range a.X {
+		//dartvet:allow floatcmp -- the reproducibility guarantee is bit-identical solutions, so the test compares exactly
+		if a.X[j] != b.X[j] {
+			t.Errorf("%s: X[%d] = %v vs %v", label, j, a.X[j], b.X[j])
+		}
+	}
+}
+
+// TestSolveReproducible: two default-option solves of the same model
+// return identical node and iteration counts and the identical solution.
+func TestSolveReproducible(t *testing.T) {
+	rng := rand.New(rand.NewSource(4242))
+	for trial := 0; trial < 60; trial++ {
+		src := rng.Int63()
+		first, err := Solve(randomIntegerModel(src), MILPOptions{})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		again, err := Solve(randomIntegerModel(src), MILPOptions{})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		sameResult(t, "rerun", first, again)
+		if first.Nodes != again.Nodes || first.Iterations != again.Iterations {
+			t.Errorf("trial %d: nodes/iterations %d/%d, then %d/%d",
+				trial, first.Nodes, first.Iterations, again.Nodes, again.Iterations)
+		}
+	}
+}
+
+// TestParallelUnboundedAndInfeasible: an unbounded and an infeasible
+// integer program report their statuses from branch and bound.
+func TestParallelUnboundedAndInfeasible(t *testing.T) {
+	unb := NewModel()
+	x := unb.AddVar("x", 0, math.Inf(1), Integer, -1)
+	y := unb.AddVar("y", 0, 1, Binary, 0)
+	unb.MustAddConstraint("c", []Term{{x, -1}, {y, 1}}, LE, 0)
+	res, err := Solve(unb, MILPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != StatusUnbounded {
+		t.Errorf("unbounded model: status %v", res.Status)
+	}
+
+	inf := NewModel()
+	a := inf.AddVar("a", 0, 1, Binary, 1)
+	b := inf.AddVar("b", 0, 1, Binary, 1)
+	inf.MustAddConstraint("c", []Term{{a, 1}, {b, 1}}, GE, 3)
+	res, err = Solve(inf, MILPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != StatusInfeasible {
+		t.Errorf("infeasible model: status %v", res.Status)
+	}
+}

@@ -3,6 +3,8 @@ package milp
 import (
 	"errors"
 	"testing"
+
+	"dart/internal/obs"
 )
 
 // cancelModel builds a small binary program whose branch-and-bound explores
@@ -54,5 +56,33 @@ func TestSolveNoCancelStillOptimal(t *testing.T) {
 	}
 	if res.Status != StatusOptimal {
 		t.Fatalf("status = %v", res.Status)
+	}
+}
+
+// TestParallelCancel: a live solve cancelled mid-search surfaces the hook's
+// error unwrapped and publishes no terminal "done" event.
+func TestParallelCancel(t *testing.T) {
+	bus := obs.NewBus(obs.BusConfig{Ring: 256, Buffer: 256})
+	root := obs.New(obs.Config{}).StartTrace("job")
+	root.Live(bus, "job-test")
+	sub, _ := bus.Subscribe("test", 256)
+	sentinel := errors.New("stop now")
+	calls := 0
+	_, err := Solve(cancelModel(t), MILPOptions{Trace: root, Cancel: func() error {
+		calls++
+		if calls > 2 {
+			return sentinel
+		}
+		return nil
+	}})
+	root.End()
+	sub.Close()
+	if !errors.Is(err, sentinel) {
+		t.Fatalf("err = %v, want sentinel after %d polls", err, calls)
+	}
+	for ev := range sub.C() {
+		if ev.Kind == obs.KindSolver && ev.Name == "done" {
+			t.Fatalf("cancelled solve published %+v", ev)
+		}
 	}
 }

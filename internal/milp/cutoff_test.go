@@ -19,9 +19,7 @@ func TestCutoffObjectivePreservesOptimum(t *testing.T) {
 		m.MustAddConstraint("w", []Term{{a, 5}, {b, 7}, {c, 4}, {d, 3}}, LE, 14)
 		return m
 	}
-	// Workers pinned to 1: node counts are schedule-dependent under the
-	// parallel frontier, and this test asserts an exact count relation.
-	cold, err := Solve(build(), MILPOptions{Workers: 1})
+	cold, err := Solve(build(), MILPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +27,7 @@ func TestCutoffObjectivePreservesOptimum(t *testing.T) {
 		t.Fatalf("cold status %v", cold.Status)
 	}
 	cutoff := cold.Objective
-	warm, err := Solve(build(), MILPOptions{CutoffObjective: &cutoff, Workers: 1})
+	warm, err := Solve(build(), MILPOptions{CutoffObjective: &cutoff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,5 +122,28 @@ func TestCutoffIgnoredForNonIntegralObjective(t *testing.T) {
 	if warm.Status != StatusOptimal || math.Abs(warm.Objective-cold.Objective) > 1e-9 {
 		t.Errorf("non-integral objective: warm %v/%v, cold %v/%v",
 			warm.Status, warm.Objective, cold.Status, cold.Objective)
+	}
+}
+
+// TestParallelCutoffAgreement: on random integer programs, feeding the cold
+// optimum back as the cutoff reproduces the cold solve's status, objective
+// and solution bit for bit.
+func TestParallelCutoffAgreement(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 25; trial++ {
+		src := rng.Int63()
+		cold, err := Solve(randomIntegerModel(src), MILPOptions{})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if cold.Status != StatusOptimal {
+			continue
+		}
+		cutoff := cold.Objective
+		warm, err := Solve(randomIntegerModel(src), MILPOptions{CutoffObjective: &cutoff})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		sameResult(t, "cutoff", cold, warm)
 	}
 }

@@ -9,16 +9,15 @@
 //
 // Each event carries the incumbent objective, the global lower bound, the
 // relative optimality gap, the node count, and the node throughput. The
-// published gap is monotone non-increasing over the event stream: the
-// lower bound counts both the frontier AND the nodes workers are currently
-// expanding (activeBound) — best-first order alone makes the frontier
-// minimum non-monotone the moment its best node is popped for expansion —
-// and the gap is additionally clamped against the last published value,
-// since an improving incumbent shrinks the normalizing denominator.
+// lower bound is the frontier minimum: events are published between node
+// expansions, when every open subtree sits on the frontier. The published
+// gap is monotone non-increasing over the event stream: it is clamped
+// against the last published value, since an improving incumbent shrinks
+// the normalizing denominator.
 //
 // The whole subsystem is gated on one IsLive check at solve start: a
 // solve without a live trace allocates nothing here and pays zero
-// per-node cost (sh.prog stays nil).
+// per-node cost (bbSearch.prog stays nil).
 package milp
 
 import (
@@ -31,129 +30,75 @@ import (
 // bbProgressEvery is the node interval between periodic progress events.
 const bbProgressEvery = 64
 
-// bbSearchProgress is the telemetry state of one live solve. activeBound
-// and the scalars are guarded by bbShared.mu.
+// bbSearchProgress is the telemetry state of one live solve.
 type bbSearchProgress struct {
-	span  *obs.Span
-	start time.Time
-	// activeBound[w] is the LP bound of the node worker w is currently
-	// expanding, +Inf while idle. It keeps the published lower bound
-	// monotone: the frontier minimum alone jumps upward whenever the best
-	// node is popped.
-	activeBound []float64
-	lastGap     float64 // last published gap; later events never exceed it
-	lastNodes   int     // node count at the last periodic publish
+	start     time.Time
+	lastGap   float64 // last published gap; later events never exceed it
+	lastNodes int     // node count at the last periodic publish
 }
 
 // newBBSearchProgress arms telemetry for one solve.
-func newBBSearchProgress(span *obs.Span, workers int) *bbSearchProgress {
-	ab := make([]float64, workers)
-	for i := range ab {
-		ab[i] = math.Inf(1)
-	}
-	return &bbSearchProgress{span: span, start: time.Now(), activeBound: ab, lastGap: 1}
+func newBBSearchProgress() *bbSearchProgress {
+	return &bbSearchProgress{start: time.Now(), lastGap: 1}
 }
 
-// progressSnapshot is one solver event captured under bbShared.mu and
-// published after the lock is released.
-type progressSnapshot struct {
-	ok        bool
-	name      string // "incumbent" or "progress"
-	hasInc    bool
-	incumbent float64
-	bound     float64
-	gap       float64
-	nodes     int
-	rate      float64
+// rate is the node throughput since the solve started.
+func (pr *bbSearchProgress) rate(nodes int) float64 {
+	if el := time.Since(pr.start).Seconds(); el > 0 {
+		return float64(nodes) / el
+	}
+	return 0
 }
 
-// lowerBoundLocked is the strengthened global lower bound: the minimum
-// over the frontier and every node currently being expanded. +Inf means
-// the search space is exhausted.
-func (sh *bbShared) lowerBoundLocked(p *bbProblem) float64 {
-	lb := math.Inf(1)
-	if len(sh.frontier) > 0 {
-		lb = sh.frontier[0].bound // heap root = minimum bound
+// lowerBound is the strengthened global lower bound: the minimum bound on
+// the frontier. +Inf means the search space is exhausted.
+func (b *bbSearch) lowerBound() float64 {
+	if len(b.frontier) == 0 {
+		return math.Inf(1)
 	}
-	for _, b := range sh.prog.activeBound {
-		//dartvet:allow floatcmp -- exact min over bounds; a tolerance would only bias the reported gap
-		if b < lb {
-			lb = b
-		}
-	}
-	return p.strengthen(lb)
+	return b.strengthen(b.frontier[0].bound) // heap root = minimum bound
 }
 
-// progressLocked captures one solver event. The gap is relative —
-// (incumbent − lb) / max(|incumbent|, 1) — clamped into [0, 1] and against
-// the last published value, so consumers see a monotone non-increasing
-// convergence signal.
-func (sh *bbShared) progressLocked(p *bbProblem, name string) progressSnapshot {
-	snap := progressSnapshot{ok: true, name: name, nodes: sh.nodes}
-	lb := sh.lowerBoundLocked(p)
+// publishProgress emits one "incumbent" or "progress" event. The gap is
+// relative — (incumbent − lb) / max(|incumbent|, 1) — clamped into [0, 1]
+// and against the last published value, so consumers see a monotone
+// non-increasing convergence signal.
+func (b *bbSearch) publishProgress(name string) {
+	ev := obs.Event{Kind: obs.KindSolver, Name: name, Nodes: int64(b.nodes)}
+	lb := b.lowerBound()
 	gap := 1.0
-	if sh.inc.ok {
-		snap.hasInc = true
-		snap.incumbent = sh.inc.obj
+	if b.inc.ok {
+		ev.Incumbent = b.inc.obj
 		//dartvet:allow floatcmp -- telemetry clamp, not a pruning decision; exactness only affects the displayed gap
-		if math.IsInf(lb, 1) || lb > sh.inc.obj {
+		if math.IsInf(lb, 1) || lb > b.inc.obj {
 			// Exhausted (or only worse subtrees remain): the incumbent is
 			// the proven optimum.
-			lb = sh.inc.obj
+			lb = b.inc.obj
 		}
-		gap = (sh.inc.obj - lb) / math.Max(math.Abs(sh.inc.obj), 1)
+		gap = (b.inc.obj - lb) / math.Max(math.Abs(b.inc.obj), 1)
 	}
 	if !math.IsInf(lb, 0) {
-		snap.bound = lb
+		ev.Bound = lb
 	}
 	if gap < 0 {
 		gap = 0
 	}
 	//dartvet:allow floatcmp -- monotonicity clamp against the last published gap; fuzzing would let the gap tick upward
-	if gap > sh.prog.lastGap {
-		gap = sh.prog.lastGap
+	if gap > b.prog.lastGap {
+		gap = b.prog.lastGap
 	}
-	sh.prog.lastGap = gap
-	snap.gap = gap
-	if el := time.Since(sh.prog.start).Seconds(); el > 0 {
-		snap.rate = float64(sh.nodes) / el
-	}
-	sh.prog.lastNodes = sh.nodes
-	return snap
+	b.prog.lastGap = gap
+	ev.Gap = gap
+	ev.NodesPerSec = b.prog.rate(b.nodes)
+	b.prog.lastNodes = b.nodes
+	b.opt.Trace.Publish(ev)
 }
 
-// publishSnapshot emits one captured event through the solve's trace
-// binding; called without sh.mu held.
-func (p *bbProblem) publishSnapshot(snap progressSnapshot) {
-	if !snap.ok {
-		return
-	}
-	ev := obs.Event{
-		Kind:        obs.KindSolver,
-		Name:        snap.name,
-		Bound:       snap.bound,
-		Gap:         snap.gap,
-		Nodes:       int64(snap.nodes),
-		NodesPerSec: snap.rate,
-	}
-	if snap.hasInc {
-		ev.Incumbent = snap.incumbent
-	}
-	p.opt.Trace.Publish(ev)
-}
-
-// publishDone emits the terminal solver event after every worker exited.
-// A proven-optimal or infeasible search reports gap 0; an interrupted one
-// (node/iteration limit, cancellation) reports the last clamped gap.
-func (sh *bbShared) publishDone(p *bbProblem, res *MILPResult) {
-	sh.mu.Lock()
-	gap := sh.prog.lastGap
-	rate := 0.0
-	if el := time.Since(sh.prog.start).Seconds(); el > 0 {
-		rate = float64(sh.nodes) / el
-	}
-	inc := sh.inc
-	sh.mu.Unlock()
+// publishDone emits the terminal solver event. A proven-optimal or
+// infeasible search reports gap 0; an interrupted one (node/iteration
+// limit) reports the last clamped gap.
+func (b *bbSearch) publishDone(res *MILPResult) {
+	gap := b.prog.lastGap
 	if res.Status == StatusOptimal || res.Status == StatusInfeasible || res.Status == StatusUnbounded {
 		gap = 0
 	}
@@ -163,11 +108,11 @@ func (sh *bbShared) publishDone(p *bbProblem, res *MILPResult) {
 		State:       res.Status.String(),
 		Gap:         gap,
 		Nodes:       int64(res.Nodes),
-		NodesPerSec: rate,
+		NodesPerSec: b.prog.rate(b.nodes),
 	}
-	if inc.ok {
-		ev.Incumbent = inc.obj
-		ev.Bound = inc.obj - gap*math.Max(math.Abs(inc.obj), 1)
+	if b.inc.ok {
+		ev.Incumbent = b.inc.obj
+		ev.Bound = b.inc.obj - gap*math.Max(math.Abs(b.inc.obj), 1)
 	}
-	p.opt.Trace.Publish(ev)
+	b.opt.Trace.Publish(ev)
 }

@@ -45,7 +45,7 @@ func TestLiveSolveEventTimeline(t *testing.T) {
 	sawIncumbent := false
 	for trial := 0; trial < 20; trial++ {
 		m := randomIntegerModel(rng.Int63())
-		res, events := liveSolve(t, m, MILPOptions{Workers: 4})
+		res, events := liveSolve(t, m, MILPOptions{})
 		if len(events) == 0 {
 			t.Fatalf("trial %d: live solve published no solver events", trial)
 		}
@@ -100,17 +100,17 @@ func TestLiveSolveMatchesSilentSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(271))
 	for trial := 0; trial < 15; trial++ {
 		src := rng.Int63()
-		silent, err := Solve(randomIntegerModel(src), MILPOptions{Workers: 4})
+		silent, err := Solve(randomIntegerModel(src), MILPOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		live, _ := liveSolve(t, randomIntegerModel(src), MILPOptions{Workers: 4})
+		live, _ := liveSolve(t, randomIntegerModel(src), MILPOptions{})
 		sameResult(t, "live-vs-silent", silent, live)
 	}
 }
 
 // TestUnboundTraceSkipsTelemetry: a trace that is recorded but never bound
-// to a bus must leave the progress subsystem disarmed (sh.prog nil ⇒ no
+// to a bus must leave the progress subsystem disarmed (bbSearch.prog nil ⇒ no
 // per-node telemetry work) and publish nothing.
 func TestUnboundTraceSkipsTelemetry(t *testing.T) {
 	tr := obs.New(obs.Config{})
@@ -119,7 +119,7 @@ func TestUnboundTraceSkipsTelemetry(t *testing.T) {
 	if root.IsLive() {
 		t.Fatal("unbound trace reports live")
 	}
-	res, err := Solve(randomIntegerModel(555), MILPOptions{Workers: 2, Trace: root})
+	res, err := Solve(randomIntegerModel(555), MILPOptions{Trace: root})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestProgressEventCadence(t *testing.T) {
 	for j := 0; j+2 < n; j++ {
 		m.MustAddConstraint("pair", []Term{{Var(j), 1}, {Var(j + 1), 1}, {Var(j + 2), 1}}, LE, 2)
 	}
-	res, events := liveSolve(t, m, MILPOptions{Workers: 2, DisableRounding: true})
+	res, events := liveSolve(t, m, MILPOptions{DisableRounding: true})
 	if res.Nodes < bbProgressEvery {
 		t.Skipf("search too easy to exercise cadence: %d nodes", res.Nodes)
 	}

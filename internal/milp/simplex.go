@@ -618,8 +618,8 @@ func (s *simplex) fillSolution(dst []float64) {
 }
 
 // run executes both phases, leaving the optimum in the working state. It
-// allocates nothing; branch-and-bound workers read the objective and
-// solution straight out of the state.
+// allocates nothing; branch and bound reads the objective and solution
+// straight out of the state.
 func (s *simplex) run() (Status, error) {
 	// Trivial infeasibility: reversed bounds after overrides.
 	for j := 0; j < s.n; j++ {

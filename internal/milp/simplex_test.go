@@ -308,3 +308,45 @@ func TestWriteLPNameCollisions(t *testing.T) {
 		t.Errorf("sanitized names wrong:\n%s", out)
 	}
 }
+
+// TestNodeSolveAllocs is the allocation regression test for the reusable
+// kernel: once the simplex state has warmed up, a steady-state node solve
+// (reset + run + read the solution) performs zero heap allocations.
+func TestNodeSolveAllocs(t *testing.T) {
+	m := randomIntegerModel(2024)
+	cs := buildCSR(m)
+	s := new(simplex)
+	x := make([]float64, m.NumVars())
+	solveOnce := func() {
+		s.reset(m, cs, SimplexOptions{}, nil, nil)
+		if st, err := s.run(); err == nil && st == StatusOptimal {
+			s.fillSolution(x)
+		}
+	}
+	solveOnce() // warm up the backing arrays
+	if allocs := testing.AllocsPerRun(200, solveOnce); allocs > 0 {
+		t.Errorf("steady-state node solve allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// BenchmarkNodeSolve measures a steady-state node relaxation on the
+// reusable kernel (the inner loop of branch and bound).
+func BenchmarkNodeSolve(b *testing.B) {
+	m := randomIntegerModel(2024)
+	cs := buildCSR(m)
+	s := new(simplex)
+	x := make([]float64, m.NumVars())
+	s.reset(m, cs, SimplexOptions{}, nil, nil)
+	if _, err := s.run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.reset(m, cs, SimplexOptions{}, nil, nil)
+		if _, err := s.run(); err != nil {
+			b.Fatal(err)
+		}
+		s.fillSolution(x)
+	}
+}

@@ -8,9 +8,9 @@ import (
 // csrMatrix is the model's constraint matrix in compressed sparse row form,
 // row-equilibrated exactly like the dense tableau build used to be: each
 // row is divided by its largest structural coefficient magnitude, and the
-// scaled right-hand side rides along. It is built once per Solve and shared
-// read-only by every branch-and-bound worker, so node solves scatter rows
-// from it instead of re-walking the model's term lists.
+// scaled right-hand side rides along. It is built once per Solve and read
+// by every node solve of the search, which scatters rows from it instead of
+// re-walking the model's term lists.
 type csrMatrix struct {
 	m, nv    int
 	rowStart []int // len m+1; nonzeros of row i are cols/vals[rowStart[i]:rowStart[i+1]]
@@ -93,7 +93,7 @@ func insertionSort(a []int) {
 	}
 }
 
-// simplexPool recycles simplex working states. A branch-and-bound worker
+// simplexPool recycles simplex working states. A branch-and-bound search
 // checks one out for its whole lifetime, so steady-state node solves reuse
 // the same flat tableau, bound, and cost arrays and allocate nothing; the
 // one-shot LP entry points borrow one per call.

@@ -1,10 +1,10 @@
 // Package obs is the observability layer of the DART reproduction: a
 // context-propagated span tracer plus a slog-based structured logger, both
 // stdlib-only. One trace is the span tree of one unit of work (a dartd job,
-// a CLI run); spans cover pipeline stages, repair-problem components,
-// branch-and-bound workers, and validation-loop iterations, so a single
-// slow or misbehaving job can be inspected per decision instead of only
-// through fleet-wide histograms.
+// a CLI run); spans cover pipeline stages, repair-problem components
+// (with their branch-and-bound events), and validation-loop iterations,
+// so a single slow or misbehaving job can be inspected per decision
+// instead of only through fleet-wide histograms.
 //
 // The tracer is built to cost nothing when it is off. Every method of
 // *Span is nil-receiver safe, FromContext returns nil when no span was

@@ -126,7 +126,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	if _, err := dart.SolverNamed(spec.Solver, spec.SolverWorkers); err != nil {
+	if _, err := dart.SolverNamed(spec.Solver); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

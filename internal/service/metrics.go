@@ -94,7 +94,6 @@ type Metrics struct {
 	compSolved     uint64
 	compReused     uint64
 	bbNodes        uint64
-	bbWorkers      int
 	specRejections uint64
 	cacheHits      uint64
 	cacheMisses    uint64
@@ -300,15 +299,13 @@ func (m *Metrics) BindBus(droppedEvents func() map[string]uint64) {
 	m.droppedEvents = droppedEvents
 }
 
-// Bind attaches the live gauges (queue depth, job worker count, and the
-// per-job branch-and-bound worker budget) the registry samples at
-// exposition time.
-func (m *Metrics) Bind(queueDepth func() int, workers, bbWorkers int) {
+// Bind attaches the live gauges (queue depth and job worker count) the
+// registry samples at exposition time.
+func (m *Metrics) Bind(queueDepth func() int, workers int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.queueDepth = queueDepth
 	m.workerCount = workers
-	m.bbWorkers = bbWorkers
 }
 
 // BindStore attaches the job store's stats sampler; the dart_store_*
@@ -512,11 +509,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 		fmt.Fprintln(w, "# HELP dartd_workers Configured worker count.")
 		fmt.Fprintln(w, "# TYPE dartd_workers gauge")
 		fmt.Fprintf(w, "dartd_workers %d\n", m.workerCount)
-	}
-	if m.bbWorkers > 0 {
-		fmt.Fprintln(w, "# HELP dart_bb_workers Branch-and-bound worker budget per job.")
-		fmt.Fprintln(w, "# TYPE dart_bb_workers gauge")
-		fmt.Fprintf(w, "dart_bb_workers %d\n", m.bbWorkers)
 	}
 
 	fmt.Fprintln(w, "# HELP dartd_stage_seconds Pipeline stage latency, by stage.")

@@ -110,7 +110,7 @@ func TestMetricsGoldenExposition(t *testing.T) {
 		Suggestion: repair.Suggestion{ProposedAt: 0, DecidedAt: int64(30 * time.Millisecond)}})
 	m.RepairEvent(repair.Event{Kind: repair.KindReverted})
 	m.RepairEvent(repair.Event{Kind: repair.KindSuperseded})
-	m.Bind(func() int { return 4 }, 8, 2)
+	m.Bind(func() int { return 4 }, 8)
 	m.BindSuggestions(func() int { return 3 })
 	m.BindTracer(func() uint64 { return 2 })
 	m.BindBus(func() map[string]uint64 { return map[string]uint64{"job": 1, "firehose": 5} })

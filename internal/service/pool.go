@@ -283,13 +283,9 @@ func ResolveMetadata(spec JobSpec) (*metadata.Metadata, error) {
 // marked transient — centralizing the retry classification here lets later
 // PRs escalate node budgets per attempt; everything else — parse errors,
 // infeasibility, context expiry — is permanent.
-func PipelineRunner(m *Metrics) Runner { return PipelineRunnerWorkers(m, 0) }
-
-// PipelineRunnerWorkers is PipelineRunner with a default branch-and-bound
-// worker budget, applied when a job spec does not set solver_workers.
-func PipelineRunnerWorkers(m *Metrics, solverWorkers int) Runner {
+func PipelineRunner(m *Metrics) Runner {
 	return func(ctx context.Context, spec JobSpec) (*ResultJSON, error) {
-		p, err := newPipeline(spec, solverWorkers)
+		p, err := newPipeline(spec)
 		if err != nil {
 			return nil, err
 		}
@@ -302,18 +298,12 @@ func PipelineRunnerWorkers(m *Metrics, solverWorkers int) Runner {
 }
 
 // newPipeline resolves a spec's metadata and solver into a pipeline.
-// solverWorkers is the branch-and-bound worker budget used when the spec
-// sets none.
-func newPipeline(spec JobSpec, solverWorkers int) (*dart.Pipeline, error) {
+func newPipeline(spec JobSpec) (*dart.Pipeline, error) {
 	md, err := ResolveMetadata(spec)
 	if err != nil {
 		return nil, err
 	}
-	workers := spec.SolverWorkers
-	if workers <= 0 {
-		workers = solverWorkers
-	}
-	solver, err := dart.SolverNamed(spec.Solver, workers)
+	solver, err := dart.SolverNamed(spec.Solver)
 	if err != nil {
 		return nil, err
 	}

@@ -43,9 +43,11 @@ type JobSpec struct {
 	Metadata string `json:"metadata,omitempty"`
 	// Solver selects the repair solver (default milp).
 	Solver string `json:"solver,omitempty"`
-	// SolverWorkers overrides the server's branch-and-bound worker budget
-	// for this job (MILP solvers only; 0 = server default). Worker counts
-	// never change the computed repair.
+	// SolverWorkers is accepted and ignored: it once set a branch-and-bound
+	// worker budget, and older clients and WAL logs still carry
+	// solver_workers. Branch and bound is sequential, and the field changes
+	// nothing. It stays so that strict decoding admits those bodies and
+	// records, and it round-trips unchanged.
 	SolverWorkers int `json:"solver_workers,omitempty"`
 	// TimeoutMS overrides the server's per-job deadline, in milliseconds.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`

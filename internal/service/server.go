@@ -4,7 +4,6 @@ import (
 	"context"
 	"log/slog"
 	"net/http"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -17,10 +16,6 @@ import (
 type Config struct {
 	// Workers is the worker-pool size (0 = GOMAXPROCS).
 	Workers int
-	// SolverWorkers is the default branch-and-bound worker budget per job
-	// (0 = GOMAXPROCS); a job's solver_workers overrides it. Worker counts
-	// never change the computed repair.
-	SolverWorkers int
 	// QueueCapacity bounds pending jobs (0 = 1024).
 	QueueCapacity int
 	// JobTimeout is the default per-job deadline (0 = 60s).
@@ -80,18 +75,17 @@ type Config struct {
 //	GET  /readyz                         readiness: replay done, pool started, queue accepting
 //	GET  /metrics                        Prometheus text format
 type Server struct {
-	queue         *Queue
-	pool          *Pool
-	metrics       *Metrics
-	tracer        *obs.Tracer
-	bus           *obs.Bus
-	logger        *slog.Logger
-	enablePprof   bool
-	mux           *http.ServeMux
-	draining      atomic.Bool
-	started       atomic.Bool
-	recovery      *RecoveryStats
-	solverWorkers int
+	queue       *Queue
+	pool        *Pool
+	metrics     *Metrics
+	tracer      *obs.Tracer
+	bus         *obs.Bus
+	logger      *slog.Logger
+	enablePprof bool
+	mux         *http.ServeMux
+	draining    atomic.Bool
+	started     atomic.Bool
+	recovery    *RecoveryStats
 }
 
 // New wires a stopped server; call Start before serving. With a
@@ -103,13 +97,12 @@ func New(cfg Config) (*Server, error) {
 		tracer = obs.New(obs.Config{})
 	}
 	s := &Server{
-		metrics:       NewMetrics(),
-		tracer:        tracer,
-		bus:           cfg.Bus,
-		logger:        cfg.Logger,
-		enablePprof:   cfg.EnablePprof,
-		mux:           http.NewServeMux(),
-		solverWorkers: cfg.SolverWorkers,
+		metrics:     NewMetrics(),
+		tracer:      tracer,
+		bus:         cfg.Bus,
+		logger:      cfg.Logger,
+		enablePprof: cfg.EnablePprof,
+		mux:         http.NewServeMux(),
 	}
 	if cfg.Store == nil {
 		s.queue = NewQueue(cfg.QueueCapacity)
@@ -150,7 +143,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	run := cfg.Runner
 	if run == nil {
-		run = PipelineRunnerWorkers(s.metrics, cfg.SolverWorkers)
+		run = PipelineRunner(s.metrics)
 	}
 	if cfg.ResultCacheSize > 0 {
 		run = CachingRunner(run, cfg.ResultCacheSize, s.metrics)
@@ -179,11 +172,7 @@ func New(cfg Config) (*Server, error) {
 		Tracer:      tracer,
 		Logger:      cfg.Logger,
 	}
-	bb := cfg.SolverWorkers
-	if bb <= 0 {
-		bb = runtime.GOMAXPROCS(0)
-	}
-	s.metrics.Bind(s.queue.Depth, s.pool.workerCount(), bb)
+	s.metrics.Bind(s.queue.Depth, s.pool.workerCount())
 	s.metrics.BindSuggestions(s.queue.OpenSuggestions)
 	s.metrics.BindTracer(tracer.DroppedSpans)
 	if cfg.Bus != nil {

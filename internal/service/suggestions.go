@@ -35,7 +35,7 @@ func (apiDecider) Decide(ctx context.Context, l *repair.Ledger, open []repair.Su
 // job's durable event history, so already-made decisions are never asked
 // twice.
 func (s *Server) runValidation(ctx context.Context, job *Job) (*ResultJSON, error) {
-	p, err := newPipeline(job.Spec, s.solverWorkers)
+	p, err := newPipeline(job.Spec)
 	if err != nil {
 		return nil, err
 	}

@@ -266,7 +266,7 @@ type Outcome struct {
 	// problem's memo without re-solving (both 0 with DisablePreparedReuse).
 	ComponentsSolved, ComponentsReused int
 	// SolverNodes totals the branch-and-bound nodes explored across every
-	// solve of the loop (schedule-dependent under parallel solving).
+	// solve of the loop.
 	SolverNodes int
 	// Forced is the final set of operator-pinned values.
 	Forced map[core.Item]float64
