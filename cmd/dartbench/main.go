@@ -25,6 +25,7 @@ import (
 	"dart/internal/aggrcons"
 	"dart/internal/analysis"
 	"dart/internal/analysis/passes"
+	"dart/internal/convert"
 	"dart/internal/core"
 	"dart/internal/docgen"
 	"dart/internal/experiments"
@@ -143,6 +144,34 @@ func writeBenchJSON(path string) error {
 		return err
 	}
 	cashBudget := md.Constraints()
+	// extract50y converts and wraps one clean 50-year budget rendered in
+	// format f: the HTML rendering passes through the converter as is, and
+	// the scan text is converted to the HTML the wrapper then reads.
+	extract50y := func(f convert.Format) func(b *testing.B) {
+		return func(b *testing.B) {
+			doc := docgen.BudgetDocument(docgen.RandomBudget(rand.New(rand.NewSource(7331)), 2000, 50))
+			src := doc.HTML()
+			if f == convert.FormatScanText {
+				src = doc.ScanText()
+			}
+			w := md.NewWrapper()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				html, err := convert.ToHTML(src, f)
+				if err != nil {
+					b.Fatal(err)
+				}
+				instances, _, err := w.Extract(html)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(instances) != 500 {
+					b.Fatalf("instances = %d, want 500", len(instances))
+				}
+			}
+		}
+	}
 	benches := []struct {
 		name string
 		fn   func(b *testing.B)
@@ -278,21 +307,8 @@ func writeBenchJSON(path string) error {
 				}
 			}
 		}},
-		{"Extract50y", func(b *testing.B) {
-			html := docgen.BudgetDocument(docgen.RandomBudget(rand.New(rand.NewSource(7331)), 2000, 50)).HTML()
-			w := md.NewWrapper()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				instances, _, err := w.Extract(html)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(instances) != 500 {
-					b.Fatalf("instances = %d, want 500", len(instances))
-				}
-			}
-		}},
+		{"Extract50y", extract50y(convert.FormatHTML)},
+		{"Extract50yScan", extract50y(convert.FormatScanText)},
 		{"RepairRunningExample", func(b *testing.B) {
 			b.ReportAllocs()
 			cons := runningex.Constraints()

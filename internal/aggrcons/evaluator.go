@@ -152,11 +152,21 @@ func (e *Evaluator) index(f *AggFunc) *funcIndex {
 		}
 	}
 	// The keys are substrings of one string; ends[i] becomes tuple i's
-	// bucket.
+	// bucket. The runs of equal adjacent keys bound the distinct keys from
+	// above and size the map and the counts; relations usually list the
+	// tuples of one key together, and then the bound is exact.
 	keys := string(buf)
-	bucket := map[string]int{}
-	var count []int
-	lo := 0
+	runs, lo, prev := 0, 0, ""
+	for i, hi := range ends {
+		if k := keys[lo:hi]; i == 0 || k != prev {
+			runs++
+			prev = k
+		}
+		lo = hi
+	}
+	bucket := make(map[string]int, runs)
+	count := make([]int, 0, runs)
+	lo = 0
 	for i, hi := range ends {
 		b, found := bucket[keys[lo:hi]]
 		if !found {

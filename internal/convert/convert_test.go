@@ -89,8 +89,11 @@ func TestScanTextEscaping(t *testing.T) {
 	if !strings.Contains(html, "a &amp; b") || !strings.Contains(html, "&lt;c&gt;") {
 		t.Errorf("escaping missing:\n%s", html)
 	}
-	cells := htmlx.ParseTables(html)[0].Rows[0]
-	if cells[0].Text != "a & b" || cells[1].Text != "<c>" {
+	grid, err := htmlx.ParseTables(html)[0].Grid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cells := grid[0]; cells[0].Text != "a & b" || cells[1].Text != "<c>" {
 		t.Errorf("round trip = %+v", cells)
 	}
 }

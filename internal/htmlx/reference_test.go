@@ -8,19 +8,54 @@ import (
 )
 
 // This file keeps the tokenizer, table parser and grid expansion as they
-// were before text tokens became substrings of the source and attribute
-// maps became lazy. FuzzParseTables compares the package against it.
+// were before text tokens became substrings of the source, attribute maps
+// became lazy and the token stream gave way to the table scanner.
+// FuzzParseTables compares the package against it.
+
+// refTokenKind classifies tokens.
+type refTokenKind int
+
+const (
+	refTokenText refTokenKind = iota
+	refTokenStartTag
+	refTokenEndTag
+)
+
+// refToken is one lexical unit of an HTML document.
+type refToken struct {
+	Kind        refTokenKind
+	Name        string
+	Text        string
+	Attrs       map[string]string
+	SelfClosing bool
+}
+
+// refCell is one td/th element as written in the source, with its spans.
+type refCell struct {
+	Text    string
+	RowSpan int
+	ColSpan int
+	Header  bool
+}
+
+// refTable is a parsed table: rows of source cells.
+type refTable struct {
+	Rows [][]refCell
+}
+
+// refMaxGridCells is the package's bound on the positions of one grid.
+const refMaxGridCells = 1 << 18
 
 // refTokenize splits HTML source into tokens. It is deliberately tolerant:
 // unknown constructs are skipped, attributes may be unquoted, comments and
 // doctypes are dropped. Script and style elements are skipped entirely.
-func refTokenize(src string) []htmlx.Token {
-	var toks []htmlx.Token
+func refTokenize(src string) []refToken {
+	var toks []refToken
 	i, n := 0, len(src)
 	var text strings.Builder
 	flushText := func() {
 		if text.Len() > 0 {
-			toks = append(toks, htmlx.Token{Kind: htmlx.TokenText, Text: htmlx.DecodeEntities(text.String())})
+			toks = append(toks, refToken{Kind: refTokenText, Text: htmlx.DecodeEntities(text.String())})
 			text.Reset()
 		}
 	}
@@ -67,7 +102,7 @@ func refTokenize(src string) []htmlx.Token {
 		}
 		toks = append(toks, tok)
 		// Skip raw content of script/style.
-		if tok.Kind == htmlx.TokenStartTag && !tok.SelfClosing && (tok.Name == "script" || tok.Name == "style") {
+		if tok.Kind == refTokenStartTag && !tok.SelfClosing && (tok.Name == "script" || tok.Name == "style") {
 			closer := "</" + tok.Name
 			idx := strings.Index(strings.ToLower(src[i:]), closer)
 			if idx < 0 {
@@ -81,10 +116,10 @@ func refTokenize(src string) []htmlx.Token {
 }
 
 // refParseTag parses the inside of <...>.
-func refParseTag(raw string) (htmlx.Token, bool) {
+func refParseTag(raw string) (refToken, bool) {
 	raw = strings.TrimSpace(raw)
 	if raw == "" {
-		return htmlx.Token{}, false
+		return refToken{}, false
 	}
 	end := false
 	if raw[0] == '/' {
@@ -103,12 +138,12 @@ func refParseTag(raw string) (htmlx.Token, bool) {
 	}
 	name := strings.ToLower(raw[:j])
 	if name == "" {
-		return htmlx.Token{}, false
+		return refToken{}, false
 	}
 	if end {
-		return htmlx.Token{Kind: htmlx.TokenEndTag, Name: name}, true
+		return refToken{Kind: refTokenEndTag, Name: name}, true
 	}
-	tok := htmlx.Token{Kind: htmlx.TokenStartTag, Name: name, SelfClosing: selfClosing, Attrs: map[string]string{}}
+	tok := refToken{Kind: refTokenStartTag, Name: name, SelfClosing: selfClosing, Attrs: map[string]string{}}
 	// Attributes.
 	k := j
 	for k < len(raw) {
@@ -161,14 +196,14 @@ func refParseTag(raw string) (htmlx.Token, bool) {
 func refIsSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
 // refParseTables is ParseTables over refTokenize.
-func refParseTables(src string) []*htmlx.Table {
+func refParseTables(src string) []*refTable {
 	toks := refTokenize(src)
-	var tables []*htmlx.Table
+	var tables []*refTable
 
 	type frame struct {
-		table  *htmlx.Table
-		row    []htmlx.Cell
-		cell   *htmlx.Cell
+		table  *refTable
+		row    []refCell
+		cell   *refCell
 		text   strings.Builder
 		inRow  bool
 		inCell bool
@@ -201,10 +236,10 @@ func refParseTables(src string) []*htmlx.Table {
 			return stack[len(stack)-1]
 		}
 		switch tok.Kind {
-		case htmlx.TokenStartTag:
+		case refTokenStartTag:
 			switch tok.Name {
 			case "table":
-				stack = append(stack, &frame{table: &htmlx.Table{}})
+				stack = append(stack, &frame{table: &refTable{}})
 			case "tr":
 				if f := top(); f != nil {
 					closeRow(f)
@@ -216,7 +251,7 @@ func refParseTables(src string) []*htmlx.Table {
 						f.inRow = true
 					}
 					closeCell(f)
-					c := &htmlx.Cell{RowSpan: refSpanAttr(tok.Attrs, "rowspan", 65534), ColSpan: refSpanAttr(tok.Attrs, "colspan", 1000), Header: tok.Name == "th"}
+					c := &refCell{RowSpan: refSpanAttr(tok.Attrs, "rowspan", 65534), ColSpan: refSpanAttr(tok.Attrs, "colspan", 1000), Header: tok.Name == "th"}
 					f.cell = c
 					f.inCell = true
 				}
@@ -225,7 +260,7 @@ func refParseTables(src string) []*htmlx.Table {
 					f.text.WriteByte(' ')
 				}
 			}
-		case htmlx.TokenEndTag:
+		case refTokenEndTag:
 			switch tok.Name {
 			case "table":
 				if f := top(); f != nil {
@@ -242,7 +277,7 @@ func refParseTables(src string) []*htmlx.Table {
 					closeCell(f)
 				}
 			}
-		case htmlx.TokenText:
+		case refTokenText:
 			if f := top(); f != nil && f.inCell {
 				f.text.WriteString(tok.Text)
 			}
@@ -271,14 +306,15 @@ func refCollapseSpace(s string) string {
 	return strings.Join(strings.Fields(s), " ")
 }
 
-// refGrid is the unbounded grid expansion Grid replaced.
-func refGrid(t *htmlx.Table) [][]htmlx.GridCell {
+// refGrid is the grid expansion before the bound, with the bound checked
+// as it goes: over reports that the grid would have more than limit
+// positions, and then grid is nil.
+func refGrid(t *refTable, limit int) (grid [][]htmlx.GridCell, over bool) {
 	if len(t.Rows) == 0 {
-		return nil
+		return nil, false
 	}
 	// pending[c] = remaining rows the span at column c still covers, with
 	// its origin.
-	var grid [][]htmlx.GridCell
 	pending := map[int]*refHang{}
 	width := 0
 	for r := 0; r < len(t.Rows); r++ {
@@ -287,10 +323,14 @@ func refGrid(t *htmlx.Table) [][]htmlx.GridCell {
 		place := func(gc htmlx.GridCell) {
 			row = append(row, gc)
 			col++
+			over = over || len(row) > limit/len(t.Rows)
 		}
 		// Fill positions covered by spans from above, then source cells.
 		srcIdx := 0
 		for srcIdx < len(t.Rows[r]) || refHasPendingAt(pending, col) {
+			if over {
+				return nil, true
+			}
 			if h, ok := pending[col]; ok && h.rows > 0 {
 				for k := 0; k < h.cols; k++ {
 					place(htmlx.GridCell{Text: h.text, OriginRow: h.or, OriginCol: h.oc, Spanned: true, Present: true, Header: h.header})
@@ -319,13 +359,16 @@ func refGrid(t *htmlx.Table) [][]htmlx.GridCell {
 		}
 		grid = append(grid, row)
 	}
+	if over || width > limit/len(t.Rows) {
+		return nil, true
+	}
 	// Pad ragged rows.
 	for r := range grid {
 		for len(grid[r]) < width {
 			grid[r] = append(grid[r], htmlx.GridCell{Present: false})
 		}
 	}
-	return grid
+	return grid, false
 }
 
 func refHasPendingAt(pending map[int]*refHang, col int) bool {
