@@ -4,8 +4,10 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"dart/internal/docgen"
+	"dart/internal/htmlx"
 	"dart/internal/lexicon"
 	"dart/internal/runningex"
 	"dart/internal/scenario"
@@ -376,5 +378,44 @@ func TestExtractRejectsGridBomb(t *testing.T) {
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
 		t.Errorf("Extract allocated %d bytes on a %d-byte document, want < 1 MiB", alloc, len(doc))
+	}
+}
+
+// TestExtractExpandsOneTableAtATime: a table of 262 cells of colspan 1000
+// is 4.5 KB of HTML and expands to 262,000 grid positions, just inside
+// htmlx's bound: 10 MiB of grid. In a document of sixteen of them, side by
+// side or nested in one another, Extract must expand only the table
+// TableFilter selects, and drop each grid before it expands the next: it
+// may allocate about one grid, and little at all when no table is selected.
+func TestExtractExpandsOneTableAtATime(t *testing.T) {
+	const positions = 262000
+	oneGrid := positions * uint64(unsafe.Sizeof(htmlx.GridCell{}))
+	wide := "<table><tr>" + strings.Repeat(`<td colspan="1000">x`, positions/1000)
+	for name, doc := range map[string]string{
+		"side by side": strings.Repeat(wide+"</table>", 16),
+		"nested":       strings.Repeat(wide, 16),
+	} {
+		for _, selected := range []int{-1, 7} {
+			w := budgetWrapper(t)
+			w.TableFilter = func(ti int) bool { return ti == selected }
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, skipped, err := w.Extract(doc)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatalf("%s, TableFilter selecting table %d: %v", name, selected, err)
+			}
+			limit := 64 * uint64(len(doc))
+			if selected >= 0 {
+				// The grid, its texts and the skipped row's joined text.
+				limit += 2 * oneGrid
+				if len(skipped) != 1 || len(skipped[0].Text) != 4*positions-3 {
+					t.Errorf("%s: skipped %d rows, want the selected table's one wide row", name, len(skipped))
+				}
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > limit {
+				t.Errorf("%s, TableFilter selecting table %d: Extract allocated %d bytes on a %d-byte document, want at most %d", name, selected, alloc, len(doc), limit)
+			}
+		}
 	}
 }
