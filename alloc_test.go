@@ -11,11 +11,12 @@ import (
 
 // maxAllocsPerLargeDocument bounds the allocations of one 50-year cash
 // budget with 4 misreads through Pipeline.ProcessContext. The document
-// takes about 4,750; the HTML tokenizer's token per tag, attribute map per
-// spanned cell and slice per row took it to about 7,800, and map-keyed
-// rows, a slice per evaluator bucket and a key formatted for every
-// duplicate ground to about 16,900.
-const maxAllocsPerLargeDocument = 5000
+// takes about 1,950; an instance, its cells, a lower-cased query and a
+// cloned literal per matched row took it to about 4,750, the HTML
+// tokenizer's token per tag, attribute map per spanned cell and slice per
+// row to about 7,800, and map-keyed rows, a slice per evaluator bucket
+// and a key formatted for every duplicate ground to about 16,900.
+const maxAllocsPerLargeDocument = 2500
 
 // TestProcessLargeDocumentAllocations holds the per-document allocation
 // count of a long document under maxAllocsPerLargeDocument. The race

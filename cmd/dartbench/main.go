@@ -225,7 +225,8 @@ func writeBenchJSON(path string) error {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				n := 0
-				if _, err := w.Replay(func(*store.Record) error { n++; return nil }); err != nil {
+				noSealed := func([]byte) error { return nil }
+				if _, err := w.Replay(noSealed, func(*store.Record) error { n++; return nil }); err != nil {
 					b.Fatal(err)
 				}
 				if n != frames {

@@ -8,10 +8,11 @@ import (
 	"sync"
 )
 
-// resultCache is a bounded LRU of finished job results keyed by the
-// content hash of the (document, metadata, solver) triple. Identical
+// resultCache is a bounded LRU of finished job results, encoded, keyed by
+// the content hash of the (document, metadata, solver) triple. Identical
 // submissions — the common case for a fleet re-acquiring the same
-// published documents — are served without re-running the pipeline.
+// published documents — are served without re-running the pipeline or
+// encoding the result again.
 type resultCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -21,7 +22,7 @@ type resultCache struct {
 
 type cacheEntry struct {
 	key [sha256.Size]byte
-	res *ResultJSON
+	res runResult
 }
 
 // newResultCache creates a cache holding at most capacity entries
@@ -57,12 +58,12 @@ func cacheKey(spec JobSpec) [sha256.Size]byte {
 }
 
 // get returns the cached result for key, refreshing its recency.
-func (c *resultCache) get(key [sha256.Size]byte) (*ResultJSON, bool) {
+func (c *resultCache) get(key [sha256.Size]byte) (runResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return nil, false
+		return runResult{}, false
 	}
 	c.order.MoveToFront(el)
 	return el.Value.(*cacheEntry).res, true
@@ -70,7 +71,7 @@ func (c *resultCache) get(key [sha256.Size]byte) (*ResultJSON, bool) {
 
 // put inserts or refreshes a result, evicting the least recently used
 // entry beyond capacity.
-func (c *resultCache) put(key [sha256.Size]byte, res *ResultJSON) {
+func (c *resultCache) put(key [sha256.Size]byte, res runResult) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -94,15 +95,15 @@ func (c *resultCache) len() int {
 	return c.order.Len()
 }
 
-// CachingRunner wraps a Runner with a bounded LRU over the (document,
-// metadata, solver) triple: repeated submissions are answered from the
-// cache, counted as hits in the metrics; only successful results are
-// cached (failures stay retryable). Cached results are shared pointers
-// and must be treated as immutable by consumers — the wire encoder only
-// ever serializes them.
-func CachingRunner(next Runner, capacity int, m *Metrics) Runner {
+// cachingRunner wraps an encodedRunner with a bounded LRU over the
+// (document, metadata, solver) triple: repeated submissions are answered
+// from the cache, counted as hits in the metrics; only successful results
+// are cached (failures stay retryable). A hit hands the job the cached
+// bytes themselves, which nothing modifies: jobs only serve and persist
+// them.
+func cachingRunner(next encodedRunner, capacity int, m *Metrics) encodedRunner {
 	cache := newResultCache(capacity)
-	return func(ctx context.Context, spec JobSpec) (*ResultJSON, error) {
+	return func(ctx context.Context, spec JobSpec) (runResult, error) {
 		key := cacheKey(spec)
 		if res, ok := cache.get(key); ok {
 			if m != nil {
@@ -115,7 +116,7 @@ func CachingRunner(next Runner, capacity int, m *Metrics) Runner {
 		}
 		res, err := next(ctx, spec)
 		if err != nil {
-			return nil, err
+			return runResult{}, err
 		}
 		cache.put(key, res)
 		return res, nil

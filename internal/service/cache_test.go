@@ -35,7 +35,7 @@ func TestResultCacheLRUEviction(t *testing.T) {
 	k1 := cacheKey(JobSpec{Document: "1"})
 	k2 := cacheKey(JobSpec{Document: "2"})
 	k3 := cacheKey(JobSpec{Document: "3"})
-	r1, r2, r3 := &ResultJSON{}, &ResultJSON{}, &ResultJSON{}
+	r1, r2, r3 := runResult{encoded: []byte("1")}, runResult{encoded: []byte("2")}, runResult{encoded: []byte("3")}
 	c.put(k1, r1)
 	c.put(k2, r2)
 	if _, ok := c.get(k1); !ok { // refresh k1: k2 becomes LRU
@@ -48,22 +48,34 @@ func TestResultCacheLRUEviction(t *testing.T) {
 	if _, ok := c.get(k2); ok {
 		t.Error("k2 survived eviction despite being LRU")
 	}
-	if got, ok := c.get(k1); !ok || got != r1 {
+	if got, ok := c.get(k1); !ok || !sameBytes(got.encoded, r1.encoded) {
 		t.Error("k1 evicted or replaced")
 	}
-	if got, ok := c.get(k3); !ok || got != r3 {
+	if got, ok := c.get(k3); !ok || !sameBytes(got.encoded, r3.encoded) {
 		t.Error("k3 missing")
 	}
 }
 
+// sameBytes reports whether a and b are the same non-empty slice, not
+// merely equal bytes.
+func sameBytes(a, b []byte) bool {
+	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
+}
+
+// TestCachingRunnerServesRepeatsAndCounts: a repeat is served from the
+// cache without running or encoding again. Its result is the cached
+// slice itself, with the totals metrics count, and the hits and misses
+// are counted.
 func TestCachingRunnerServesRepeatsAndCounts(t *testing.T) {
 	m := NewMetrics()
 	calls := 0
-	next := func(ctx context.Context, spec JobSpec) (*ResultJSON, error) {
+	next := encoding(func(ctx context.Context, spec JobSpec) (*ResultJSON, error) {
 		calls++
-		return &ResultJSON{}, nil
-	}
-	run := CachingRunner(next, 4, m)
+		res := recoveryResult()
+		res.Acquisition = &AcquisitionJSON{Violations: []ViolationJSON{{}}}
+		return res, nil
+	})
+	run := cachingRunner(next, 4, m)
 	spec := JobSpec{Document: "doc", Scenario: "cashbudget"}
 	first, err := run(context.Background(), spec)
 	if err != nil {
@@ -76,8 +88,11 @@ func TestCachingRunnerServesRepeatsAndCounts(t *testing.T) {
 	if calls != 1 {
 		t.Errorf("inner runner ran %d times, want 1", calls)
 	}
-	if first != second {
-		t.Error("repeat submission not served from cache")
+	if !sameBytes(first.encoded, second.encoded) {
+		t.Error("repeat submission not served the cached bytes")
+	}
+	if second.violations != 1 || second.updates != 1 {
+		t.Errorf("hit counts %d violations and %d updates, want 1 and 1", second.violations, second.updates)
 	}
 	if _, err := run(context.Background(), JobSpec{Document: "other"}); err != nil {
 		t.Fatal(err)
@@ -99,14 +114,14 @@ func TestCachingRunnerServesRepeatsAndCounts(t *testing.T) {
 
 func TestCachingRunnerDoesNotCacheFailures(t *testing.T) {
 	calls := 0
-	next := func(ctx context.Context, spec JobSpec) (*ResultJSON, error) {
+	next := encoding(func(ctx context.Context, spec JobSpec) (*ResultJSON, error) {
 		calls++
 		if calls == 1 {
 			return nil, errors.New("transient")
 		}
 		return &ResultJSON{}, nil
-	}
-	run := CachingRunner(next, 4, nil)
+	})
+	run := cachingRunner(next, 4, nil)
 	spec := JobSpec{Document: "doc"}
 	if _, err := run(context.Background(), spec); err == nil {
 		t.Fatal("first run should fail")
@@ -140,6 +155,11 @@ func TestServiceResultCacheEndToEnd(t *testing.T) {
 	if fmt.Sprint(results[0].Result.Repair.Updates) != fmt.Sprint(results[1].Result.Repair.Updates) {
 		t.Errorf("cached result differs:\n%v\nvs\n%v",
 			results[0].Result.Repair.Updates, results[1].Result.Repair.Updates)
+	}
+	_, first, _ := srv.Queue().getEncoded(results[0].ID)
+	_, second, _ := srv.Queue().getEncoded(results[1].ID)
+	if !sameBytes(first, second) {
+		t.Error("the repeated job keeps its own copy of the cached result")
 	}
 	var sb strings.Builder
 	srv.metrics.WritePrometheus(&sb)

@@ -169,7 +169,7 @@ func TestJobStreamDrainsTerminalEvent(t *testing.T) {
 	defer sub.Close()
 	job, _, _ := q.sessionOf(view.ID)
 	q.setRunning(job)
-	q.finish(job, StateSucceeded, &ResultJSON{}, nil)
+	q.finish(job, StateSucceeded, mustEncode(&ResultJSON{}), nil)
 
 	rec := httptest.NewRecorder()
 	srv.tail(context.Background(), rec, rec, sub, eventFilter{jobID: view.ID}, true)

@@ -129,7 +129,7 @@ func FuzzSubmitJob(f *testing.F) {
 			t.Fatalf("one admission added %d store records, want its submit record", n)
 		}
 		var stored []*store.Record
-		if _, err := mem.Replay(func(r *store.Record) error {
+		if _, err := mem.Replay(noSealed, func(r *store.Record) error {
 			if r.JobID == posted.ID {
 				stored = append(stored, r)
 			}

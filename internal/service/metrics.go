@@ -220,20 +220,15 @@ func (m *Metrics) JobSubmitted() {
 	m.submitted++
 }
 
-// JobFinished counts one terminal job and its latency and repair outcome.
-func (m *Metrics) JobFinished(state JobState, d time.Duration, res *ResultJSON) {
+// JobFinished counts one terminal job and its latency and repair outcome:
+// the violations its acquisition found and the updates of its repair.
+func (m *Metrics) JobFinished(state JobState, d time.Duration, violations, updates int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.finished[state]++
 	m.jobSeconds.observe(d.Seconds())
-	if res != nil {
-		if res.Acquisition != nil {
-			m.violations += uint64(len(res.Acquisition.Violations))
-		}
-		if res.Repair != nil {
-			m.updates += uint64(res.Repair.Card)
-		}
-	}
+	m.violations += uint64(violations)
+	m.updates += uint64(updates)
 }
 
 // SpecRejected counts one submission rejected by admission-time spec

@@ -86,8 +86,8 @@ func TestMetricsGoldenExposition(t *testing.T) {
 
 	m.JobSubmitted()
 	m.JobSubmitted()
-	m.JobFinished(StateSucceeded, 250*time.Millisecond, nil)
-	m.JobFinished(StateFailed, 2*time.Second, nil)
+	m.JobFinished(StateSucceeded, 250*time.Millisecond, 0, 0)
+	m.JobFinished(StateFailed, 2*time.Second, 0, 0)
 	m.Retry()
 	m.QueueWait(3 * time.Millisecond)
 	m.QueueWait(40 * time.Millisecond)

@@ -2,9 +2,12 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -23,13 +26,17 @@ import (
 // a half-recorded state; the submit record is written before the job is
 // exposed to workers, so no job can run without a durable spec.
 //
-// Snapshots stall nobody. Under q.mu a snapshot only captures the job
-// list — references to the cached bytes of terminal jobs, copies of the
-// few live ones — and the sequence number of the queue's last append.
-// One goroutine then splices the blob together and hands it to
-// JobStore.WriteSnapshot(through, blob), which keeps every record
-// appended after through. Lock order is q.mu, then the store's own lock;
-// the snapshot file is written under neither.
+// A snapshot costs what changed since the last one. The queue keeps the
+// jobs it has not sealed yet (q.unsealed); under q.mu a snapshot walks
+// only those and captures references to the cached bytes of the
+// terminal ones, copies of the few live ones, and the sequence number of
+// the queue's last append. One goroutine then splices each terminal
+// job's entry and the state blob of the live ones and hands them to
+// JobStore.WriteSnapshot(through, sealed, state), which seals the
+// entries once and keeps every record appended after through. Once the
+// snapshot lands, the sealed jobs leave q.unsealed and drop their cached
+// head, which no snapshot reads again. Lock order is q.mu, then the
+// store's own lock; the snapshot is written under neither.
 
 // persistedJob is the snapshot form of one job. Timestamps are UnixNano
 // so replayed JobViews re-encode byte-identically to the originals.
@@ -77,6 +84,11 @@ func persistedOf(job *Job) persistedJob {
 func (pj persistedJob) encodeHead() ([]byte, error) {
 	pj.Result = nil
 	return marshalJSON(pj)
+}
+
+// entrySize bounds the length of the entry appendEntry makes.
+func entrySize(head, result []byte) int {
+	return len(head) + len(`,"result":`) + len(result)
 }
 
 // appendEntry appends one job's snapshot entry: its head, with the
@@ -152,7 +164,8 @@ func htmlEscaped(b []byte) bool {
 }
 
 // storeState is the snapshot blob handed to JobStore.WriteSnapshot: the
-// whole queue, in submission order.
+// next ID and the jobs not sealed, in submission order. (Older builds
+// wrote every job into it.)
 type storeState struct {
 	NextID int            `json:"next_id"`
 	Jobs   []persistedJob `json:"jobs"`
@@ -296,51 +309,69 @@ func (q *Queue) maybeSnapshotLocked() {
 	go q.writeSnapshot(q.store, c, done)
 }
 
-// snapshotCapture is what a snapshot takes under q.mu: the job list in
-// submission order and the sequence number through which it covers the
-// log.
+// snapshotCapture is what a snapshot takes under q.mu: the jobs it
+// seals and the live ones, each in submission order, and the sequence
+// number through which it covers the log.
 type snapshotCapture struct {
-	through uint64
-	nextID  int
-	jobs    []snapshotJob
+	through    uint64
+	nextID     int
+	sealed     []snapshotJob
+	sealedJobs []*Job
+	live       []persistedJob
 }
 
-// snapshotJob is one captured job: the cached head and result of a
-// terminal job, or a copy of a job whose head is not encoded yet.
-type snapshotJob struct {
-	head, result []byte
-	live         *persistedJob
-}
+// snapshotJob is the cached head and result of a terminal job.
+type snapshotJob struct{ head, result []byte }
 
-// captureLocked captures the queue for a snapshot.
+// captureLocked captures the jobs not sealed yet for a snapshot. A
+// terminal job whose head is cached is sealed; every other job is live,
+// including a terminal one that finish has not given its head yet.
 func (q *Queue) captureLocked() *snapshotCapture {
-	c := &snapshotCapture{through: q.lastSeq, nextID: q.nextID, jobs: make([]snapshotJob, len(q.order))}
-	for i, id := range q.order {
-		job := q.jobs[id]
+	c := &snapshotCapture{through: q.lastSeq, nextID: q.nextID}
+	for _, job := range q.unsealed {
 		if job.head != nil {
-			c.jobs[i] = snapshotJob{head: job.head, result: job.result}
+			c.sealed = append(c.sealed, snapshotJob{job.head, job.result})
+			c.sealedJobs = append(c.sealedJobs, job)
 			continue
 		}
-		pj := persistedOf(job)
-		c.jobs[i] = snapshotJob{live: &pj}
+		c.live = append(c.live, persistedOf(job))
 	}
 	return c
 }
 
 // writeSnapshot assembles a captured snapshot and writes it to st, off
-// q.mu, then marks the snapshot finished.
+// q.mu; once it has landed, the jobs it sealed leave q.unsealed. Then it
+// marks the snapshot finished.
 func (q *Queue) writeSnapshot(st store.JobStore, c *snapshotCapture, done chan struct{}) {
-	state, err := c.encode()
+	sealed, state, err := c.encode()
 	if err == nil {
-		err = st.WriteSnapshot(c.through, state)
+		err = st.WriteSnapshot(c.through, sealed, state)
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if err != nil {
 		q.reportStoreErrorLocked(err)
+	} else {
+		q.dropSealedLocked(c.sealedJobs)
 	}
 	q.snapDone = nil
 	close(done)
+}
+
+// dropSealedLocked removes sealed, a subsequence of q.unsealed in the
+// same order, from q.unsealed and releases their cached heads.
+func (q *Queue) dropSealedLocked(sealed []*Job) {
+	kept := q.unsealed[:0]
+	for _, job := range q.unsealed {
+		if len(sealed) > 0 && job == sealed[0] {
+			sealed = sealed[1:]
+			job.head = nil
+			continue
+		}
+		kept = append(kept, job)
+	}
+	clear(q.unsealed[len(kept):])
+	q.unsealed = kept
 }
 
 // waitSnapshot blocks until no snapshot is in flight. The caller must not
@@ -354,33 +385,44 @@ func (q *Queue) waitSnapshot() {
 	}
 }
 
-// encode assembles the snapshot blob, a storeState in JSON: terminal jobs
-// are spliced from their cached bytes, and only the others are encoded,
-// first, so that the blob is sized exactly.
-func (c *snapshotCapture) encode() ([]byte, error) {
-	size := 64
-	for i := range c.jobs {
-		j := &c.jobs[i]
-		if j.live != nil {
-			head, err := j.live.encodeHead()
-			if err != nil {
-				return nil, err
-			}
-			j.head, j.result = head, j.live.Result
-		}
-		size += len(j.head) + len(j.result) + len(`,"result":`) + 1
+// encode assembles the snapshot: each sealed job's entry, spliced from
+// its cached bytes into one shared buffer, and the state blob, a
+// storeState in JSON that holds the live jobs. Only the live jobs are
+// encoded, first, so that the blob is sized exactly.
+func (c *snapshotCapture) encode() (sealed [][]byte, state []byte, err error) {
+	size := 0
+	for _, j := range c.sealed {
+		size += entrySize(j.head, j.result)
 	}
 	buf := make([]byte, 0, size)
-	buf = append(buf, `{"next_id":`...)
-	buf = strconv.AppendInt(buf, int64(c.nextID), 10)
-	buf = append(buf, `,"jobs":[`...)
-	for i, j := range c.jobs {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
+	sealed = make([][]byte, len(c.sealed))
+	for i, j := range c.sealed {
+		start := len(buf)
 		buf = appendEntry(buf, j.head, j.result)
+		sealed[i] = buf[start:len(buf):len(buf)]
 	}
-	return append(buf, "]}"...), nil
+
+	live := make([]snapshotJob, len(c.live))
+	size = 64
+	for i := range c.live {
+		head, err := c.live[i].encodeHead()
+		if err != nil {
+			return nil, nil, err
+		}
+		live[i] = snapshotJob{head, c.live[i].Result}
+		size += entrySize(head, c.live[i].Result) + 1
+	}
+	state = make([]byte, 0, size)
+	state = append(state, `{"next_id":`...)
+	state = strconv.AppendInt(state, int64(c.nextID), 10)
+	state = append(state, `,"jobs":[`...)
+	for i, j := range live {
+		if i > 0 {
+			state = append(state, ',')
+		}
+		state = appendEntry(state, j.head, j.result)
+	}
+	return sealed, append(state, "]}"...), nil
 }
 
 // SyncStore flushes the attached store to stable storage; graceful drain
@@ -398,7 +440,8 @@ func (q *Queue) SyncStore() error {
 
 // RecoveryStats summarizes one boot-time replay.
 type RecoveryStats struct {
-	// SnapshotJobs counts jobs restored from the snapshot blob.
+	// SnapshotJobs counts jobs restored from the sealed entries and the
+	// snapshot blob.
 	SnapshotJobs int
 	// Records counts log records applied on top of the snapshot.
 	Records int
@@ -418,10 +461,13 @@ type RecoveryStats struct {
 	Duration time.Duration
 }
 
-// RecoverQueue rebuilds a queue from a job store: snapshot first, then
-// every log record, then re-enqueueing of each job that was pending or
-// running at crash time (completed jobs keep their results and are never
-// re-solved). The returned queue persists through st from then on.
+// RecoverQueue rebuilds a queue from a job store: the sealed jobs, then
+// the snapshot's, then every log record, then re-enqueueing of each job
+// that was pending or running at crash time (completed jobs keep their
+// results and are never re-solved). Job IDs number the jobs in
+// submission order, which restores the order of jobs that were sealed
+// apart from the live ones. The returned queue persists through st from
+// then on.
 func RecoverQueue(capacity int, st store.JobStore, snapshotEvery int, onStoreError func(error)) (*Queue, *RecoveryStats, error) {
 	q := NewQueue(capacity)
 	q.snapshotEvery = snapshotEvery
@@ -430,9 +476,25 @@ func RecoverQueue(capacity int, st store.JobStore, snapshotEvery int, onStoreErr
 	start := time.Now()
 
 	// Collect records first: the snapshot blob arrives at the end of
-	// Replay but must be applied before the records layered on top of it.
+	// Replay but must be applied after the sealed jobs and before the
+	// records layered on top of it.
+	sealed := map[string]bool{}
+	var sealedJobs []*Job
 	var recs []*store.Record
-	snap, err := st.Replay(func(rec *store.Record) error {
+	snap, err := st.Replay(func(entry []byte) error {
+		var pj persistedJob
+		if err := json.Unmarshal(entry, &pj); err != nil {
+			return fmt.Errorf("decoding a sealed job: %w", err)
+		}
+		if sealed[pj.ID] {
+			return nil // sealed again after a snapshot that failed late
+		}
+		sealed[pj.ID] = true
+		job := jobOf(&pj)
+		job.Spec.Document = "" // as once the head was cached; no run reads it again
+		sealedJobs = append(sealedJobs, job)
+		return nil
+	}, func(rec *store.Record) error {
 		recs = append(recs, rec)
 		return nil
 	})
@@ -442,51 +504,43 @@ func RecoverQueue(capacity int, st store.JobStore, snapshotEvery int, onStoreErr
 
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	for _, job := range sealedJobs {
+		q.addRecoveredLocked(job)
+	}
+	stats.SnapshotJobs = len(sealedJobs)
 	if snap != nil {
 		var state storeState
 		if err := json.Unmarshal(snap, &state); err != nil {
 			return nil, nil, fmt.Errorf("service: decoding store snapshot: %w", err)
 		}
-		q.nextID = state.NextID
+		q.nextID = max(q.nextID, state.NextID)
 		for i := range state.Jobs {
-			pj := &state.Jobs[i]
-			job := &Job{
-				ID:          pj.ID,
-				Spec:        pj.Spec,
-				State:       pj.State,
-				Attempts:    pj.Attempts,
-				SubmittedAt: nanoTime(pj.SubmittedAt),
-				StartedAt:   nanoTime(pj.StartedAt),
-				FinishedAt:  nanoTime(pj.FinishedAt),
-				Error:       pj.Error,
-				TraceID:     pj.TraceID,
-			}
-			if len(pj.RepairEvents) > 0 {
-				job.RepairEvents = append([]repair.Event(nil), pj.RepairEvents...)
-			}
-			if len(pj.Result) > 0 {
-				job.result = canonicalResult(pj.Result)
-			}
-			q.jobs[job.ID] = job //dartvet:allow walorder -- snapshot replay: the record set being made visible is already durable
-			q.order = append(q.order, job.ID)
+			q.addRecoveredLocked(jobOf(&state.Jobs[i]))
 		}
-		stats.SnapshotJobs = len(state.Jobs)
+		stats.SnapshotJobs += len(state.Jobs)
 	}
 	for _, rec := range recs {
 		q.applyRecordLocked(rec, stats)
 	}
 	stats.Records = len(recs)
+	slices.SortStableFunc(q.order, func(a, b string) int { return cmp.Compare(jobNumber(a), jobNumber(b)) })
 
 	// Re-enqueue everything non-terminal: those jobs were queued or
-	// running when the previous process died. Terminal jobs get their
-	// snapshot head, as finish would have given them.
+	// running when the previous process died. Terminal jobs not sealed get
+	// their snapshot head, as finish would have given them.
 	now := time.Now()
 	var requeued []*Job
 	for _, id := range q.order {
 		job := q.jobs[id]
+		if !sealed[id] {
+			q.unsealed = append(q.unsealed, job)
+		}
 		switch {
 		case job.State.Terminal():
 			stats.Completed++
+			if sealed[id] {
+				continue
+			}
 			if head, err := persistedOf(job).encodeHead(); err == nil {
 				setHeadLocked(job, head)
 			}
@@ -517,6 +571,46 @@ func RecoverQueue(capacity int, st store.JobStore, snapshotEvery int, onStoreErr
 	return q, stats, nil
 }
 
+// jobOf rebuilds a job from its persisted form.
+func jobOf(pj *persistedJob) *Job {
+	job := &Job{
+		ID:          pj.ID,
+		Spec:        pj.Spec,
+		State:       pj.State,
+		Attempts:    pj.Attempts,
+		SubmittedAt: nanoTime(pj.SubmittedAt),
+		StartedAt:   nanoTime(pj.StartedAt),
+		FinishedAt:  nanoTime(pj.FinishedAt),
+		Error:       pj.Error,
+		TraceID:     pj.TraceID,
+	}
+	if len(pj.RepairEvents) > 0 {
+		job.RepairEvents = append([]repair.Event(nil), pj.RepairEvents...)
+	}
+	if len(pj.Result) > 0 {
+		job.result = canonicalResult(pj.Result)
+	}
+	return job
+}
+
+// addRecoveredLocked registers a job restored from a sealed entry or the
+// snapshot and keeps ID allocation ahead of it.
+func (q *Queue) addRecoveredLocked(job *Job) {
+	q.jobs[job.ID] = job //dartvet:allow walorder -- snapshot replay: the record set being made visible is already durable
+	q.order = append(q.order, job.ID)
+	q.nextID = max(q.nextID, jobNumber(job.ID))
+}
+
+// jobNumber returns the number in a job ID ("job-000042" is 42), or 0
+// for an ID of another form. Submit numbers jobs in submission order.
+func jobNumber(id string) int {
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "job-"))
+	if err != nil || n < 0 {
+		return 0
+	}
+	return n
+}
+
 // applyRecordLocked folds one replayed record into the queue state.
 func (q *Queue) applyRecordLocked(rec *store.Record, stats *RecoveryStats) {
 	switch rec.Type {
@@ -535,10 +629,7 @@ func (q *Queue) applyRecordLocked(rec *store.Record, stats *RecoveryStats) {
 		q.jobs[job.ID] = job //dartvet:allow walorder -- applying a replayed record: it is already in the durable log
 		q.order = append(q.order, job.ID)
 		// Keep ID allocation ahead of every replayed job.
-		var n int
-		if _, err := fmt.Sscanf(rec.JobID, "job-%d", &n); err == nil && n > q.nextID {
-			q.nextID = n
-		}
+		q.nextID = max(q.nextID, jobNumber(rec.JobID))
 	case store.RecTransition:
 		job, ok := q.jobs[rec.JobID]
 		if !ok {

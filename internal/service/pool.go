@@ -20,6 +20,45 @@ import (
 // PipelineRunner; tests inject slow or flaky runners.
 type Runner func(ctx context.Context, spec JobSpec) (*ResultJSON, error)
 
+// runResult is a successful run's result as its job keeps it: encoded
+// once, with the encoder settings of writeJSON, plus the totals metrics
+// count. A cache hit shares the bytes of the run that filled the entry.
+type runResult struct {
+	encoded    []byte
+	violations int
+	updates    int
+}
+
+// encodeRun encodes a run's result; a nil result stays empty. A result
+// that does not encode fails the run.
+func encodeRun(res *ResultJSON, err error) (runResult, error) {
+	if res == nil {
+		return runResult{}, err
+	}
+	b, encErr := marshalJSON(res)
+	if encErr != nil {
+		return runResult{}, errors.Join(err, fmt.Errorf("service: encoding the result: %w", encErr))
+	}
+	out := runResult{encoded: b}
+	if res.Acquisition != nil {
+		out.violations = len(res.Acquisition.Violations)
+	}
+	if res.Repair != nil {
+		out.updates = res.Repair.Card
+	}
+	return out, err
+}
+
+// encodedRunner is a Runner whose result comes encoded.
+type encodedRunner func(ctx context.Context, spec JobSpec) (runResult, error)
+
+// encoding turns a Runner into an encodedRunner.
+func encoding(run Runner) encodedRunner {
+	return func(ctx context.Context, spec JobSpec) (runResult, error) {
+		return encodeRun(run(ctx, spec))
+	}
+}
+
 // transientError marks an error worth retrying (a failure the pool may
 // recover from by re-running the attempt).
 type transientError struct{ err error }
@@ -52,11 +91,11 @@ type Pool struct {
 	Workers int
 	// Run processes one job (default PipelineRunner(Metrics)).
 	Run Runner
-	// RunJob, when non-nil, overrides Run with a job-aware processor; the
-	// server routes validation-session jobs through it (they need the Job
-	// handle to publish their suggestion ledger). Plain jobs still flow
-	// through Run.
-	RunJob func(ctx context.Context, job *Job) (*ResultJSON, error)
+	// RunJob, when non-nil, overrides Run with a job-aware processor whose
+	// result comes encoded; the server routes every job through it, so
+	// that validation-session jobs get the Job handle they publish their
+	// suggestion ledger on and repeats get the result cache's bytes.
+	RunJob func(ctx context.Context, job *Job) (runResult, error)
 	// Metrics receives counters and latencies (optional).
 	Metrics *Metrics
 	// JobTimeout is the default per-job deadline (default 60s); a job's
@@ -189,7 +228,7 @@ func (p *Pool) runJob(job *Job) {
 	}
 
 	start := time.Now()
-	var res *ResultJSON
+	var res runResult
 	var err error
 	attempts := 0
 	for attempt := 1; ; attempt++ {
@@ -200,7 +239,7 @@ func (p *Pool) runJob(job *Job) {
 		if p.RunJob != nil {
 			res, err = p.RunJob(ctx, job)
 		} else {
-			res, err = p.Run(ctx, job.Spec)
+			res, err = encodeRun(p.Run(ctx, job.Spec))
 		}
 		if err == nil || !IsTransient(err) || attempt >= maxAttempts || ctx.Err() != nil {
 			break
@@ -232,9 +271,9 @@ func (p *Pool) runJob(job *Job) {
 	// ended by now, so retried stages count once per attempt.
 	if p.Metrics != nil {
 		p.Metrics.FoldSpans(span.Ended())
-		p.Metrics.JobFinished(state, time.Since(start), res)
+		p.Metrics.JobFinished(state, time.Since(start), res.violations, res.updates)
 	}
-	p.Queue.finish(job, state, res, err)
+	p.Queue.finish(job, state, res.encoded, err)
 	span.SetStr("state", string(state))
 	span.SetInt("attempts", attempts)
 	if err != nil {

@@ -87,9 +87,9 @@ type Job struct {
 	// demand. The bytes are never modified once set.
 	result []byte
 	// head is the job's snapshot entry without its result, encoded once
-	// the job is terminal (nil before that). Snapshots splice head and
-	// result instead of encoding the job again. Once head is set it is
-	// the only copy of the spec's document: Spec.Document is cleared, as
+	// the job is terminal (nil before that). The snapshot that seals the
+	// job splices head and result instead of encoding the job again, and
+	// then releases head. Once head is set Spec.Document is cleared, as
 	// no run reads it again.
 	head []byte
 }
@@ -126,12 +126,16 @@ var (
 // stays in the store for polling. Closing the queue rejects further
 // submissions but leaves already-queued jobs for the drain to finish.
 type Queue struct {
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	order  []string
-	ch     chan *Job
-	closed bool
-	nextID int
+	mu    sync.Mutex
+	jobs  map[string]*Job
+	order []string
+	// unsealed holds the jobs no snapshot has sealed yet, in submission
+	// order: the live ones and those finished since the last snapshot.
+	// Snapshots walk it instead of order.
+	unsealed []*Job
+	ch       chan *Job
+	closed   bool
+	nextID   int
 	// store, when non-nil, receives one record per queue mutation; all
 	// appends happen under mu, so the store sees a serialized history.
 	store store.JobStore
@@ -196,6 +200,7 @@ func (q *Queue) Submit(spec JobSpec) (JobView, error) {
 	q.ch <- job
 	q.jobs[job.ID] = job
 	q.order = append(q.order, job.ID)
+	q.unsealed = append(q.unsealed, job)
 	q.maybeSnapshotLocked()
 	q.publishJobLocked(job)
 	return viewLocked(job), nil
@@ -411,27 +416,19 @@ func (q *Queue) OpenSuggestions() int {
 	return total
 }
 
-// finish records a job's terminal state. The result record is appended
+// finish records a job's terminal state and its encoded result (nil when
+// there is none), which it keeps as is. The result record is appended
 // before the terminal transition: a crash between the two leaves the job
 // non-terminal so recovery re-runs it instead of trusting partial state.
-// The job's persisted form is encoded once, off the lock: the result
-// before it is taken, the rest of the snapshot entry after the terminal
-// state is recorded.
-func (q *Queue) finish(job *Job, state JobState, result *ResultJSON, err error) {
-	var encoded []byte
-	var encErr error
-	if result != nil {
-		encoded, encErr = marshalJSON(result)
-	}
+// The rest of the job's snapshot entry is encoded once, off the lock,
+// after the terminal state is recorded.
+func (q *Queue) finish(job *Job, state JobState, result []byte, err error) {
 	q.mu.Lock()
 	job.State = state
 	job.FinishedAt = time.Now()
-	job.result = encoded
+	job.result = result
 	if err != nil {
 		job.Error = err.Error()
-	}
-	if encErr != nil {
-		q.reportStoreErrorLocked(fmt.Errorf("service: encoding the result of %s: %w", job.ID, encErr))
 	}
 	q.appendResultLocked(job)
 	q.appendTransitionLocked(job, job.FinishedAt)

@@ -326,8 +326,10 @@ func (f *fakeStore) Append(rec *store.Record) (uint64, error) {
 	return f.seq, nil
 }
 
-func (f *fakeStore) Replay(fn func(*store.Record) error) ([]byte, error) { return nil, nil }
-func (f *fakeStore) WriteSnapshot(through uint64, state []byte) error    { return nil }
+func (f *fakeStore) Replay(sealed func([]byte) error, fn func(*store.Record) error) ([]byte, error) {
+	return nil, nil
+}
+func (f *fakeStore) WriteSnapshot(through uint64, sealed [][]byte, state []byte) error { return nil }
 
 func (f *fakeStore) AppendsSinceSnapshot() int {
 	f.mu.Lock()
@@ -535,7 +537,7 @@ func TestSucceededJobAppendsFourRecords(t *testing.T) {
 	}
 
 	var got []string
-	if _, err := mem.Replay(func(rec *store.Record) error {
+	if _, err := mem.Replay(noSealed, func(rec *store.Record) error {
 		got = append(got, rec.Type.String()+":"+rec.State)
 		return nil
 	}); err != nil {
@@ -589,3 +591,6 @@ func TestRecoverSkipsLegacySpansFrame(t *testing.T) {
 		t.Fatalf("recovered job = %+v (found %v), want succeeded with its result and trace ID", v, ok)
 	}
 }
+
+// noSealed is a Replay callback for tests that ignore sealed entries.
+func noSealed([]byte) error { return nil }

@@ -89,7 +89,7 @@ func TestGetMatchesReference(t *testing.T) {
 				q.setTrace(job, tc.traceID)
 			}
 			if tc.state.Terminal() {
-				q.finish(job, tc.state, tc.result, tc.err)
+				q.finish(job, tc.state, mustEncode(tc.result), tc.err)
 			}
 			rec := httptest.NewRecorder()
 			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+v.ID, nil))
@@ -187,7 +187,7 @@ func TestRecoverLegacyEscapedResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	mem := store.NewMem()
-	if err := mem.WriteSnapshot(0, state); err != nil {
+	if err := mem.WriteSnapshot(0, nil, state); err != nil {
 		t.Fatal(err)
 	}
 	for _, rec := range []*store.Record{

@@ -145,8 +145,9 @@ func New(cfg Config) (*Server, error) {
 	if run == nil {
 		run = PipelineRunner(s.metrics)
 	}
+	encoded := encoding(run)
 	if cfg.ResultCacheSize > 0 {
-		run = CachingRunner(run, cfg.ResultCacheSize, s.metrics)
+		encoded = cachingRunner(encoded, cfg.ResultCacheSize, s.metrics)
 	}
 	// The queue publishes job-state and depth events; the pool binds each
 	// job's trace to the bus so solver/component/span events flow too.
@@ -159,11 +160,11 @@ func New(cfg Config) (*Server, error) {
 		// Validation-session jobs need the Job handle (to publish their
 		// ledger) and must bypass the result cache: their outcome depends
 		// on live operator decisions, not the spec alone.
-		RunJob: func(ctx context.Context, job *Job) (*ResultJSON, error) {
+		RunJob: func(ctx context.Context, job *Job) (runResult, error) {
 			if job.Spec.Validate {
-				return s.runValidation(ctx, job)
+				return encodeRun(s.runValidation(ctx, job))
 			}
-			return run(ctx, job.Spec)
+			return encoded(ctx, job.Spec)
 		},
 		Metrics:     s.metrics,
 		JobTimeout:  cfg.JobTimeout,

@@ -2,8 +2,10 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -28,13 +30,13 @@ func newGatedStore(inner store.JobStore) *gatedStore {
 	return &gatedStore{JobStore: inner, entered: make(chan uint64, 16), release: make(chan struct{})}
 }
 
-func (g *gatedStore) WriteSnapshot(through uint64, state []byte) error {
+func (g *gatedStore) WriteSnapshot(through uint64, sealed [][]byte, state []byte) error {
 	g.mu.Lock()
 	g.inFlight = true
 	g.mu.Unlock()
 	g.entered <- through
 	<-g.release
-	err := g.JobStore.WriteSnapshot(through, state)
+	err := g.JobStore.WriteSnapshot(through, sealed, state)
 	g.mu.Lock()
 	g.inFlight = false
 	g.mu.Unlock()
@@ -91,6 +93,15 @@ func getBody(t *testing.T, q *Queue, id string) string {
 	return rec.Body.String()
 }
 
+// mustEncode encodes a result as finish receives it (nil stays nil).
+func mustEncode(res *ResultJSON) []byte {
+	out, err := encodeRun(res, nil)
+	if err != nil {
+		panic(err)
+	}
+	return out.encoded
+}
+
 // numberedResult is a distinct result per job.
 func numberedResult(n int) *ResultJSON {
 	res := recoveryResult()
@@ -134,8 +145,8 @@ func TestSnapshotInterleaving(t *testing.T) {
 
 			a, b := submit("a"), submit("b") // seq 1, 2
 			ja := next()
-			q.setRunning(ja)                                     // 3
-			q.finish(ja, StateSucceeded, numberedResult(1), nil) // 4 triggers the snapshot, 5
+			q.setRunning(ja)                                                 // 3
+			q.finish(ja, StateSucceeded, mustEncode(numberedResult(1)), nil) // 4 triggers the snapshot, 5
 			if through := <-gs.entered; through != 4 {
 				t.Fatalf("snapshot captured through seq %d, want 4", through)
 			}
@@ -143,9 +154,9 @@ func TestSnapshotInterleaving(t *testing.T) {
 			// The snapshot is held; the queue goes on.
 			c, d := submit("c"), submit("d") // 6, 7
 			jb := next()
-			q.setRunning(jb)                                     // 8
-			q.finish(jb, StateSucceeded, numberedResult(2), nil) // 9, 10
-			q.setRunning(next())                                 // 11: c is running at the crash, d queued
+			q.setRunning(jb)                                                 // 8
+			q.finish(jb, StateSucceeded, mustEncode(numberedResult(2)), nil) // 9, 10
+			q.setRunning(next())                                             // 11: c is running at the crash, d queued
 			served := map[string]string{a: getBody(t, q, a), b: getBody(t, q, b)}
 
 			close(gs.release)
@@ -291,6 +302,91 @@ func TestRecoveryBelowThresholdStartsNoSnapshot(t *testing.T) {
 		}
 		if err := w2.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestSnapshotBounded: a snapshot holds the live jobs, not the history.
+// After ten times snapshotEvery finished jobs, with one more job running,
+// the landed snapshot's state holds at most the two jobs that were not
+// sealed at its capture, every other job is sealed once, and at most two
+// log files exist.
+func TestSnapshotBounded(t *testing.T) {
+	const every, jobs = 8, 10 * 8
+	dir := t.TempDir()
+	w, err := store.OpenWAL(dir, store.WALOptions{SyncEveryAppend: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, _, err := RecoverQueue(16, w, every, func(err error) { t.Error(err) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(i int, finish bool) {
+		if _, err := q.Submit(JobSpec{Document: fmt.Sprint(i)}); err != nil {
+			t.Fatal(err)
+		}
+		job := <-q.ch
+		q.waitSnapshot()
+		q.setRunning(job)
+		q.waitSnapshot()
+		if finish {
+			q.finish(job, StateSucceeded, mustEncode(numberedResult(i)), nil)
+			q.waitSnapshot()
+		}
+	}
+	for i := 0; i < jobs; i++ {
+		run(i, true)
+	}
+	run(jobs, false)
+	q.detachStore()
+	if n := w.Stats().Snapshots; n < jobs*4/every-1 {
+		t.Fatalf("store wrote %d snapshots, want about %d", n, jobs*4/every)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var logs []string
+	for _, name := range dirEntries(t, dir) {
+		if strings.HasSuffix(name, ".wal") {
+			logs = append(logs, name)
+		}
+	}
+	if len(logs) > 2 {
+		t.Errorf("directory holds log files %v, want at most two", logs)
+	}
+
+	w2, err := store.OpenWAL(dir, store.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	sealed := map[string]bool{}
+	blob, err := w2.Replay(func(e []byte) error {
+		var pj persistedJob
+		if err := json.Unmarshal(e, &pj); err != nil {
+			return err
+		}
+		if sealed[pj.ID] {
+			t.Errorf("job %s sealed twice", pj.ID)
+		}
+		sealed[pj.ID] = true
+		return nil
+	}, func(*store.Record) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var state storeState
+	if err := json.Unmarshal(blob, &state); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d snapshots, logs %v, %d sealed, %d live", w.Stats().Snapshots, logs, len(sealed), len(state.Jobs))
+	if len(state.Jobs) > 2 || len(sealed) < jobs-2 {
+		t.Errorf("snapshot holds %d jobs with %d sealed, want at most 2 and at least %d", len(state.Jobs), len(sealed), jobs-2)
+	}
+	for _, pj := range state.Jobs {
+		if sealed[pj.ID] {
+			t.Errorf("snapshot holds sealed job %s", pj.ID)
 		}
 	}
 }

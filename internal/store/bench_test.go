@@ -56,7 +56,7 @@ func BenchmarkReplay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		count := 0
-		if _, err := w.Replay(func(*Record) error { count++; return nil }); err != nil {
+		if _, err := w.Replay(noSealed, func(*Record) error { count++; return nil }); err != nil {
 			b.Fatal(err)
 		}
 		if count != n {

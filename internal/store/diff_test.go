@@ -8,13 +8,14 @@ import (
 
 // drive applies the same scripted operation sequence to any backend:
 // twelve appends, a capture of the last sequence number, three appends
-// after the capture, a snapshot through the captured sequence, and five
-// appends after the snapshot. It returns the captured sequence.
+// after the capture, a snapshot through the captured sequence that seals
+// two entries, and five appends after the snapshot. It returns the
+// captured sequence.
 func drive(t *testing.T, s JobStore) (through uint64) {
 	t.Helper()
 	for i := 0; i < 20; i++ {
 		if i == 15 {
-			if err := s.WriteSnapshot(through, []byte(`{"state":"mid"}`)); err != nil {
+			if err := s.WriteSnapshot(through, driveSealed, []byte(`{"state":"mid"}`)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -32,10 +33,13 @@ func drive(t *testing.T, s JobStore) (through uint64) {
 	return through
 }
 
+// driveSealed are the entries drive's snapshot seals.
+var driveSealed = entries(`{"id":"job-000001"}`, `{"id":"job-000002","result":{}}`)
+
 // TestBackendsReplayIdentically is the store-level differential test: the
 // WAL and the in-memory backend, fed the same operation sequence, must
-// replay byte-identical snapshots and structurally identical records with
-// the same sequence numbers.
+// replay the same sealed entries, byte-identical snapshots and
+// structurally identical records with the same sequence numbers.
 func TestBackendsReplayIdentically(t *testing.T) {
 	wal, err := OpenWAL(t.TempDir(), WALOptions{SyncEveryAppend: true})
 	if err != nil {
@@ -46,8 +50,11 @@ func TestBackendsReplayIdentically(t *testing.T) {
 	through := drive(t, wal)
 	drive(t, mem)
 
-	walSnap, walRecs := replayAll(t, wal)
-	memSnap, memRecs := replayAll(t, mem)
+	walSealed, walSnap, walRecs := replaySealed(t, wal)
+	memSealed, memSnap, memRecs := replaySealed(t, mem)
+	if !reflect.DeepEqual(walSealed, driveSealed) || !reflect.DeepEqual(memSealed, driveSealed) {
+		t.Errorf("sealed entries: wal=%q mem=%q, want %q", walSealed, memSealed, driveSealed)
+	}
 	if !bytes.Equal(walSnap, memSnap) {
 		t.Errorf("snapshots differ: wal=%q mem=%q", walSnap, memSnap)
 	}

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// Mem is the in-memory JobStore: the same append/replay/snapshot contract
-// as the WAL with no files behind it. It mirrors the service's
+// Mem is the in-memory JobStore: the same append/seal/replay/snapshot
+// contract as the WAL with no files behind it. It mirrors the service's
 // pre-persistence behavior (state dies with the process) while letting
 // differential tests drive both backends with identical record sequences
 // and compare replays, and letting unit tests exercise recovery without a
@@ -17,6 +17,7 @@ type Mem struct {
 	mu      sync.Mutex
 	records []*Record
 	nextSeq uint64
+	sealed  [][]byte
 
 	snapSeq  uint64
 	snapBlob []byte
@@ -50,11 +51,16 @@ func (m *Mem) Append(rec *Record) (uint64, error) {
 }
 
 // Replay implements JobStore.
-func (m *Mem) Replay(fn func(*Record) error) ([]byte, error) {
+func (m *Mem) Replay(sealed func(entry []byte) error, fn func(*Record) error) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	start := time.Now()
 	m.replayRecords = 0
+	for _, e := range m.sealed {
+		if err := sealed(append([]byte(nil), e...)); err != nil {
+			return nil, err
+		}
+	}
 	for _, rec := range m.records {
 		if rec.Seq <= m.snapSeq {
 			continue
@@ -72,11 +78,17 @@ func (m *Mem) Replay(fn func(*Record) error) ([]byte, error) {
 	return append([]byte(nil), m.snapBlob...), nil
 }
 
-// WriteSnapshot implements JobStore: the snapshot absorbs every record
-// through seq through, which are dropped; later records stay. The state
-// is copied before the lock is taken, so appends do not wait for it.
-func (m *Mem) WriteSnapshot(through uint64, state []byte) error {
+// WriteSnapshot implements JobStore: the sealed entries join those of
+// earlier snapshots, and the snapshot absorbs every record through seq
+// through, which are dropped; later records stay. The entries and the
+// state are copied before the lock is taken, so appends do not wait for
+// them.
+func (m *Mem) WriteSnapshot(through uint64, sealed [][]byte, state []byte) error {
 	blob := append([]byte(nil), state...)
+	entries := make([][]byte, len(sealed))
+	for i, e := range sealed {
+		entries[i] = append([]byte(nil), e...)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	switch {
@@ -85,6 +97,7 @@ func (m *Mem) WriteSnapshot(through uint64, state []byte) error {
 	case through < m.snapSeq:
 		return fmt.Errorf("store: snapshot through seq %d, behind the current snapshot's %d", through, m.snapSeq)
 	}
+	m.sealed = append(m.sealed, entries...)
 	m.snapSeq = through
 	m.snapBlob = blob
 	recs := m.records

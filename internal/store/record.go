@@ -16,6 +16,9 @@ import (
 //
 //	uvarint(len(body)) | body | crc32-IEEE(body), 4 bytes little-endian
 //
+// sealed.bin holds sealed entries in the same envelope, each entry's
+// bytes as the body.
+//
 // The CRC covers the body only; a torn or corrupted tail fails either the
 // length bound or the CRC and replay stops at the previous frame.
 
@@ -52,7 +55,12 @@ func encodeBody(buf []byte, r *Record) []byte {
 
 // encodeFrame wraps a record into its on-disk frame.
 func encodeFrame(buf []byte, r *Record) []byte {
-	body := encodeBody(nil, r)
+	return appendFrame(buf, encodeBody(nil, r))
+}
+
+// appendFrame appends body to buf in the frame envelope. Log records and
+// sealed entries share it.
+func appendFrame(buf, body []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(body)))
 	buf = append(buf, body...)
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(body))

@@ -24,7 +24,7 @@ func snapshotThrough(t *testing.T, s JobStore, n, after int, state []byte) []*Re
 		}
 		later = append(later, rec)
 	}
-	if err := s.WriteSnapshot(through, state); err != nil {
+	if err := s.WriteSnapshot(through, nil, state); err != nil {
 		t.Fatal(err)
 	}
 	return later
@@ -48,10 +48,11 @@ func checkReplay(t *testing.T, s JobStore, state []byte, want []*Record) {
 }
 
 // TestWALSnapshotThroughReopen: after a snapshot through a captured
-// sequence the log holds exactly the frames appended after the capture,
-// and a reopened WAL replays them after the snapshot and continues the
-// sequence past them. (TestBackendsReplayIdentically holds Mem to the
-// same contract.)
+// sequence the rotated log file keeps its frames, those appended after
+// the capture among them, and a reopened WAL replays just the later ones
+// after the snapshot and continues the sequence past them. The next
+// snapshot deletes the file. (TestBackendsReplayIdentically holds Mem to
+// the same contract.)
 func TestWALSnapshotThroughReopen(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWAL(dir, WALOptions{SyncEveryAppend: true})
@@ -60,13 +61,6 @@ func TestWALSnapshotThroughReopen(t *testing.T) {
 	}
 	state := []byte(`{"jobs":10}`)
 	later := snapshotThrough(t, w, 10, 4, state)
-	var size int
-	for _, r := range later {
-		size += len(encodeFrame(nil, r))
-	}
-	if got := w.Stats().WALBytes; got != int64(size) {
-		t.Errorf("log holds %d bytes, want the %d of the later frames", got, size)
-	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -82,6 +76,12 @@ func TestWALSnapshotThroughReopen(t *testing.T) {
 	if seq, err := w2.Append(testRecord(99)); err != nil || seq != 15 {
 		t.Fatalf("append after reopen: seq %d, err %v, want seq 15", seq, err)
 	}
+	if err := w2.WriteSnapshot(15, nil, state); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := dirNames(t, dir), []string{logName(3), sealedName, snapName}; !reflect.DeepEqual(got, want) {
+		t.Errorf("directory after the second snapshot holds %v, want %v", got, want)
+	}
 }
 
 // TestSnapshotThroughRejected: a snapshot may not claim records not yet
@@ -96,25 +96,37 @@ func TestSnapshotThroughRejected(t *testing.T) {
 	for name, s := range map[string]JobStore{"mem": NewMem(), "wal": w} {
 		t.Run(name, func(t *testing.T) {
 			recs := appendN(t, s, 5)
-			if err := s.WriteSnapshot(6, []byte("ahead")); err == nil {
+			if err := s.WriteSnapshot(6, entries("E"), []byte("ahead")); err == nil {
 				t.Error("snapshot through an unappended seq succeeded")
 			}
-			if err := s.WriteSnapshot(3, []byte("S3")); err != nil {
+			if err := s.WriteSnapshot(3, nil, []byte("S3")); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.WriteSnapshot(2, []byte("behind")); err == nil {
+			if err := s.WriteSnapshot(2, entries("E"), []byte("behind")); err == nil {
 				t.Error("snapshot behind the current snapshot succeeded")
+			}
+			if sealed, _, _ := replaySealed(t, s); len(sealed) != 0 {
+				t.Errorf("rejected snapshots sealed %q", sealed)
 			}
 			checkReplay(t, s, []byte("S3"), recs[3:])
 		})
 	}
 }
 
-// TestWALSnapshotCrashPoints copies the store directory at each of the
-// snapshot's directory syncs: after snapshot.bin is renamed but before
-// the log is cut, and after the cut log is renamed. A restart from
-// either copy must replay the snapshot and exactly the later records,
-// and continue the sequence past them.
+// TestWALSnapshotCrashPoints restarts from copies of the store directory
+// taken at each crash point of a second snapshot, which seals an entry
+// and rotates a log whose frames outlast its through:
+//
+//   - after the new log file's directory sync, before the swap;
+//   - after the sealed entry is written, before the snapshot's rename
+//     (the directory at the rename's sync with the old snapshot.bin put
+//     back and the new one as snapshot.tmp): open must cut the entry;
+//   - after the rename, before the absorbed log file is deleted;
+//   - after the deletion.
+//
+// Each restart must replay the sealed entries and the snapshot it
+// counts, exactly the records after that snapshot, and continue the
+// sequence past them.
 func TestWALSnapshotCrashPoints(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWAL(dir, WALOptions{SyncEveryAppend: true})
@@ -122,6 +134,18 @@ func TestWALSnapshotCrashPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
+	appendN(t, w, 4)
+	if err := w.WriteSnapshot(4, entries("E1"), []byte("S1")); err != nil {
+		t.Fatal(err)
+	}
+	var all []*Record
+	for i := 4; i < 12; i++ {
+		rec := testRecord(i)
+		if _, err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, rec)
+	}
 
 	var crashes []string
 	realSyncDir := syncDir
@@ -132,32 +156,58 @@ func TestWALSnapshotCrashPoints(t *testing.T) {
 		return realSyncDir(d)
 	}
 	defer func() { syncDir = realSyncDir }()
-	state := []byte(`{"jobs":7}`)
-	later := snapshotThrough(t, w, 7, 3, state)
+	if err := w.WriteSnapshot(9, entries("E2"), []byte("S2")); err != nil {
+		t.Fatal(err)
+	}
 	syncDir = realSyncDir
 	if len(crashes) != 2 {
-		t.Fatalf("snapshot synced the directory %d times, want 2 (snapshot rename, log cut)", len(crashes))
+		t.Fatalf("snapshot synced the directory %d times, want 2 (new log, snapshot rename)", len(crashes))
 	}
+	beforeRename := t.TempDir()
+	copyDir(t, crashes[1], beforeRename)
+	copyFile(t, filepath.Join(crashes[1], snapName), filepath.Join(beforeRename, snapTmpName))
+	copyFile(t, filepath.Join(crashes[0], snapName), filepath.Join(beforeRename, snapName))
+	afterDelete := t.TempDir()
+	copyDir(t, dir, afterDelete)
 
-	for i, name := range []string{"after rename, before cut", "after cut"} {
-		t.Run(name, func(t *testing.T) {
-			w2, err := OpenWAL(crashes[i], WALOptions{})
+	old, landed := []string{"E1"}, []string{"E1", "E2"}
+	for _, c := range []struct {
+		name, dir string
+		sealed    []string
+		state     string
+		later     []*Record
+	}{
+		{"after new log, before swap", crashes[0], old, "S1", all},
+		{"after seal, before rename", beforeRename, old, "S1", all},
+		{"after rename, before delete", crashes[1], landed, "S2", all[5:]},
+		{"after delete", afterDelete, landed, "S2", all[5:]},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w2, err := OpenWAL(c.dir, WALOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer w2.Close()
-			checkReplay(t, w2, state, later)
-			if seq, err := w2.Append(testRecord(99)); err != nil || seq != 11 {
-				t.Fatalf("append after restart: seq %d, err %v, want seq 11", seq, err)
+			sealed, _, _ := replaySealed(t, w2)
+			if !reflect.DeepEqual(sealed, entries(c.sealed...)) {
+				t.Errorf("sealed entries = %q, want %q", sealed, c.sealed)
+			}
+			checkReplay(t, w2, []byte(c.state), c.later)
+			if seq, err := w2.Append(testRecord(99)); err != nil || seq != 13 {
+				t.Fatalf("append after restart: seq %d, err %v, want seq 13", seq, err)
 			}
 		})
 	}
 }
 
-// TestWALCutDirSyncFailure: when the directory sync after the log cut's
-// rename fails, WriteSnapshot reports it, and the next append retries the
-// sync before writing, failing while the directory cannot be synced.
-func TestWALCutDirSyncFailure(t *testing.T) {
+// TestWALInstallDirSyncFailure: when the directory sync after the
+// snapshot's rename fails, WriteSnapshot reports it and deletes no log
+// file, as a crash could still bring the old snapshot back. The renamed
+// snapshot is the one on disk, so the WAL keeps to it: replay goes on,
+// and the sealed bytes it counts are never written again. The caller
+// passes the entry again with its next snapshot, which then lands; the
+// entry replays twice.
+func TestWALInstallDirSyncFailure(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWAL(dir, WALOptions{SyncEveryAppend: true})
 	if err != nil {
@@ -165,33 +215,41 @@ func TestWALCutDirSyncFailure(t *testing.T) {
 	}
 	defer w.Close()
 	appendN(t, w, 4)
-	later := []*Record{testRecord(4)}
-	if _, err := w.Append(later[0]); err != nil {
-		t.Fatal(err)
-	}
 
 	realSyncDir := syncDir
 	calls := 0
 	syncDir = func(d string) error {
-		calls++
-		if calls >= 2 {
+		if calls++; calls == 2 {
 			return errors.New("injected dir-sync failure")
 		}
 		return realSyncDir(d)
 	}
 	defer func() { syncDir = realSyncDir }()
-	if err := w.WriteSnapshot(4, []byte("S")); err == nil {
-		t.Fatal("WriteSnapshot succeeded despite the cut's dir-sync failure")
+	if err := w.WriteSnapshot(4, entries("E"), []byte("S")); err == nil {
+		t.Fatal("WriteSnapshot succeeded despite the rename's dir-sync failure")
 	}
-	if _, err := w.Append(testRecord(5)); err == nil {
-		t.Fatal("append succeeded while the cut log's name is not durable")
+	if got, want := dirNames(t, dir), []string{logName(1), logName(2), sealedName, snapName}; !reflect.DeepEqual(got, want) {
+		t.Errorf("directory after the failed sync holds %v, want %v", got, want)
 	}
-	syncDir = realSyncDir
-	rec := testRecord(5)
+	rec := testRecord(4)
 	if _, err := w.Append(rec); err != nil {
-		t.Fatalf("append after the directory syncs again: %v", err)
+		t.Fatalf("append after the failed sync: %v", err)
 	}
-	checkReplay(t, w, []byte("S"), append(later, rec))
+	sealed, _, _ := replaySealed(t, w)
+	if !reflect.DeepEqual(sealed, entries("E")) {
+		t.Errorf("sealed entries = %q, want [E]", sealed)
+	}
+	checkReplay(t, w, []byte("S"), []*Record{rec})
+
+	if err := w.WriteSnapshot(5, entries("E", "F"), []byte("S5")); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := dirNames(t, dir), []string{logName(3), sealedName, snapName}; !reflect.DeepEqual(got, want) {
+		t.Errorf("directory after the next snapshot holds %v, want %v", got, want)
+	}
+	if sealed, _, _ := replaySealed(t, w); !reflect.DeepEqual(sealed, entries("E", "E", "F")) {
+		t.Errorf("sealed entries = %q, want [E E F]", sealed)
+	}
 }
 
 // TestWALAppendDuringSnapshotIO: appends do not wait for a snapshot's
@@ -218,7 +276,7 @@ func TestWALAppendDuringSnapshotIO(t *testing.T) {
 	}
 	defer func() { syncDir = realSyncDir }()
 	done := make(chan error, 1)
-	go func() { done <- w.WriteSnapshot(6, []byte("S")) }()
+	go func() { done <- w.WriteSnapshot(6, nil, []byte("S")) }()
 	<-entered
 	var later []*Record
 	for i := 6; i < 9; i++ {
@@ -247,30 +305,28 @@ func TestWALSnapshotAfterClose(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteSnapshot(3, []byte("S")); err == nil {
+	if err := w.WriteSnapshot(3, nil, []byte("S")); err == nil {
 		t.Fatal("WriteSnapshot on a closed WAL succeeded")
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != walName {
-		t.Errorf("directory after a rejected snapshot holds %v, want only %s", entries, walName)
+	if got, want := dirNames(t, dir), []string{logName(1), sealedName}; !reflect.DeepEqual(got, want) {
+		t.Errorf("directory after a rejected snapshot holds %v, want %v", got, want)
 	}
 }
 
 // copyDir copies the regular files of src into dst.
 func copyDir(t *testing.T, src, dst string) {
 	t.Helper()
-	entries, err := os.ReadDir(src)
+	for _, name := range dirNames(t, src) {
+		copyFile(t, filepath.Join(src, name), filepath.Join(dst, name))
+	}
+}
+
+// copyFile copies the file src to dst.
+func copyFile(t *testing.T, src, dst string) {
+	t.Helper()
+	data, err := os.ReadFile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		writeFile(t, filepath.Join(dst, e.Name()), data)
-	}
+	writeFile(t, dst, data)
 }

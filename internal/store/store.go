@@ -6,11 +6,16 @@
 //
 // The flagship backend is a file-backed write-ahead log (WAL): records are
 // uvarint-length-prefixed binary frames, each carrying a CRC32, appended
-// to jobs.wal; periodic snapshots (snapshot.bin) plus log truncation bound
-// disk usage. Recovery is one sequential replay: snapshot first, then
-// every frame with a sequence number past the snapshot. A torn tail
-// (partial final frame from a crash mid-write) is detected by the length
-// and CRC checks and cleanly truncated — replay never errors on it.
+// to numbered log files. A snapshot costs what changed since the last
+// one: entries the caller seals (finished jobs, which never change) are
+// appended once to sealed.bin, snapshot.bin holds only the live state and
+// the sealed file's committed length, and the log is rotated to a new
+// file instead of copied, so old log files are deleted once a snapshot
+// absorbs them. Recovery is one sequential replay: the sealed entries,
+// then the snapshot, then every frame with a sequence number past it. A
+// torn tail (partial final frame from a crash mid-write) is detected by
+// the length and CRC checks and cleanly truncated — replay never errors
+// on it.
 //
 // A second, in-memory backend (Mem) implements the same interface,
 // mirroring the pre-persistence behavior of the service; differential
@@ -96,11 +101,12 @@ type Stats struct {
 	AppendBytes uint64
 	// Fsyncs counts explicit flushes to stable storage.
 	Fsyncs uint64
-	// Snapshots counts snapshot+truncate cycles.
+	// Snapshots counts snapshots that landed.
 	Snapshots uint64
-	// WALBytes is the current size of the live log.
+	// WALBytes is the current size of the log files.
 	WALBytes int64
-	// SnapshotBytes is the size of the current snapshot (0 when none).
+	// SnapshotBytes is the size of the current snapshot's state (0 when
+	// none); sealed entries are not part of it.
 	SnapshotBytes int64
 	// ReplaySeconds is the duration of the last Replay call.
 	ReplaySeconds float64
@@ -112,26 +118,35 @@ type Stats struct {
 // through. Implementations must be safe for concurrent use.
 //
 // The contract: Append durably adds one record and returns its assigned
-// sequence number. Replay delivers the current snapshot blob (nil when
-// none) and then every live record in append order; the callback must not
-// call back into the store. WriteSnapshot(through, state) atomically
-// replaces the snapshot with state, a caller-defined serialization of
-// every record up to and including sequence number through, and drops
-// those records from the log. Records appended after through stay in the
+// sequence number. WriteSnapshot(through, sealed, state) durably appends
+// the sealed entries after those of earlier snapshots and then atomically
+// replaces the snapshot with state; together, every sealed entry and
+// state are a caller-defined serialization of every record up to and
+// including sequence number through, and those records drop out of the
+// replay. A sealed entry is written once and never rewritten, so a
+// caller seals only what no later record changes (a finished job) and
+// passes the rest in state. Records appended after through stay in the
 // log and replay after the new snapshot, so a caller may capture its
 // state and through under its own lock and write the snapshot after
-// releasing it while appends go on.
+// releasing it while appends go on. WriteSnapshot returns nil once the
+// snapshot has landed; after an error the caller passes the same entries
+// again with its next snapshot, and an entry may then replay twice.
+// Replay delivers every sealed entry, in the order sealed, then every
+// record the snapshot does not absorb, in append order, and returns the
+// snapshot's state (nil when none); the callbacks must not call back
+// into the store.
 type JobStore interface {
 	// Append persists one record and returns its sequence number.
 	Append(rec *Record) (uint64, error)
-	// Replay returns the snapshot blob and streams every record appended
-	// after it, in order.
-	Replay(fn func(*Record) error) ([]byte, error)
-	// WriteSnapshot replaces the snapshot with state, which covers every
-	// record through sequence number through, and drops those records
-	// from the log. through may not pass the last appended sequence nor
-	// fall below the current snapshot's.
-	WriteSnapshot(through uint64, state []byte) error
+	// Replay streams the sealed entries to sealed and every record
+	// appended after the snapshot to fn, in order, and returns the
+	// snapshot's state.
+	Replay(sealed func(entry []byte) error, fn func(*Record) error) ([]byte, error)
+	// WriteSnapshot appends the newly sealed entries and replaces the
+	// snapshot with state; the two cover every record through sequence
+	// number through, which drop out of the log. through may not pass
+	// the last appended sequence nor fall below the current snapshot's.
+	WriteSnapshot(through uint64, sealed [][]byte, state []byte) error
 	// AppendsSinceSnapshot reports log records not yet absorbed by a
 	// snapshot; callers use it to schedule WriteSnapshot.
 	AppendsSinceSnapshot() int

@@ -23,7 +23,7 @@ func TestWALTornWriteHardening(t *testing.T) {
 	want := appendN(t, w, n)
 	w.Close()
 
-	raw, err := os.ReadFile(filepath.Join(master, walName))
+	raw, err := os.ReadFile(filepath.Join(master, logName(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestWALTornWriteHardening(t *testing.T) {
 
 	for cut := int(lastStart); cut < len(raw); cut++ {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, walName), raw[:cut], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, logName(1)), raw[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		// A stale index from an older build rides along: recovery must ignore it.
@@ -60,7 +60,7 @@ func TestWALTornWriteHardening(t *testing.T) {
 			}
 		}
 		// The torn tail is physically repaired…
-		if fi, _ := os.Stat(filepath.Join(dir, walName)); fi.Size() != lastStart {
+		if fi, _ := os.Stat(filepath.Join(dir, logName(1))); fi.Size() != lastStart {
 			t.Fatalf("cut %d: repaired log size = %d, want %d", cut, fi.Size(), lastStart)
 		}
 		// …and the store stays writable: the lost record can be re-appended.
@@ -103,7 +103,7 @@ func TestWALCorruptMidFrame(t *testing.T) {
 	appendN(t, w, 5)
 	w.Close()
 
-	path := filepath.Join(dir, walName)
+	path := filepath.Join(dir, logName(1))
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestWALCorruptSnapshotIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendN(t, w, 3)
-	if err := w.WriteSnapshot(3, []byte(`{"jobs":3}`)); err != nil {
+	if err := w.WriteSnapshot(3, nil, []byte(`{"jobs":3}`)); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()

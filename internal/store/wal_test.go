@@ -40,18 +40,54 @@ func appendN(t testing.TB, s JobStore, n int) []*Record {
 	return recs
 }
 
+// noSealed is a Replay callback for stores that hold no sealed entries.
+func noSealed([]byte) error { return nil }
+
 // replayAll collects every replayed record plus the snapshot blob.
 func replayAll(t *testing.T, s JobStore) ([]byte, []*Record) {
 	t.Helper()
-	var out []*Record
-	snap, err := s.Replay(func(r *Record) error {
+	_, snap, out := replaySealed(t, s)
+	return snap, out
+}
+
+// replaySealed collects the sealed entries, the snapshot blob and every
+// replayed record.
+func replaySealed(t *testing.T, s JobStore) (sealed [][]byte, snap []byte, out []*Record) {
+	t.Helper()
+	snap, err := s.Replay(func(e []byte) error {
+		sealed = append(sealed, e)
+		return nil
+	}, func(r *Record) error {
 		out = append(out, r)
 		return nil
 	})
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	return snap, out
+	return sealed, snap, out
+}
+
+// entries builds sealed entries from strings.
+func entries(ss ...string) [][]byte {
+	out := make([][]byte, len(ss))
+	for i, s := range ss {
+		out[i] = []byte(s)
+	}
+	return out
+}
+
+// dirNames lists the names in dir.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range des {
+		names = append(names, e.Name())
+	}
+	return names
 }
 
 // TestWALRoundTrip: records written to a WAL replay identically after a
@@ -95,9 +131,10 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWALSnapshotTruncation: a snapshot bounds the log — the data file is
-// truncated, replay returns the snapshot plus only post-snapshot records,
-// and all of it survives a reopen.
+// TestWALSnapshotTruncation: a snapshot bounds the log. It appends its
+// sealed entries and rotates the log, and the rotated file goes once the
+// snapshot absorbs it; replay returns the sealed entries, the snapshot
+// and only the later records, and all of it survives a reopen.
 func TestWALSnapshotTruncation(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWAL(dir, WALOptions{})
@@ -106,14 +143,18 @@ func TestWALSnapshotTruncation(t *testing.T) {
 	}
 	appendN(t, w, 20)
 	state := []byte(`{"jobs":20}`)
-	if err := w.WriteSnapshot(20, state); err != nil {
+	sealed := entries(`{"id":1}`, `{"id":2}`)
+	if err := w.WriteSnapshot(20, sealed, state); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.AppendsSinceSnapshot(); got != 0 {
 		t.Errorf("appends since snapshot = %d, want 0", got)
 	}
-	if fi, _ := os.Stat(filepath.Join(dir, walName)); fi.Size() != 0 {
-		t.Errorf("log size after snapshot = %d, want 0", fi.Size())
+	if got, want := dirNames(t, dir), []string{logName(2), sealedName, snapName}; !reflect.DeepEqual(got, want) {
+		t.Errorf("directory after the snapshot holds %v, want %v", got, want)
+	}
+	if got := w.Stats().WALBytes; got != 0 {
+		t.Errorf("log bytes after snapshot = %d, want 0", got)
 	}
 
 	// Two more records land after the snapshot.
@@ -130,7 +171,10 @@ func TestWALSnapshotTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	snap, got := replayAll(t, w2)
+	gotSealed, snap, got := replaySealed(t, w2)
+	if !reflect.DeepEqual(gotSealed, sealed) {
+		t.Errorf("sealed entries = %q, want %q", gotSealed, sealed)
+	}
 	if !bytes.Equal(snap, state) {
 		t.Errorf("snapshot = %q, want %q", snap, state)
 	}
@@ -147,9 +191,10 @@ func TestWALSnapshotTruncation(t *testing.T) {
 	}
 }
 
-// TestWALStaleFramesSkipped simulates a crash between snapshot rename and
-// log truncation: frames whose sequence the snapshot absorbs must be
-// skipped at replay, not double-applied.
+// TestWALStaleFramesSkipped simulates a crash between the snapshot's
+// rename and the deletion of the log file it absorbs: frames whose
+// sequence the snapshot absorbs must be skipped at replay, not
+// double-applied.
 func TestWALStaleFramesSkipped(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWAL(dir, WALOptions{})
@@ -157,16 +202,16 @@ func TestWALStaleFramesSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendN(t, w, 5)
-	walRaw, err := os.ReadFile(filepath.Join(dir, walName))
+	walRaw, err := os.ReadFile(filepath.Join(dir, logName(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteSnapshot(5, []byte("S")); err != nil {
+	if err := w.WriteSnapshot(5, nil, []byte("S")); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
-	// Put the absorbed frames back, as if truncate never ran.
-	if err := os.WriteFile(filepath.Join(dir, walName), walRaw, 0o644); err != nil {
+	// Put the absorbed file back, as if its deletion never ran.
+	if err := os.WriteFile(filepath.Join(dir, logName(1)), walRaw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -181,6 +226,17 @@ func TestWALStaleFramesSkipped(t *testing.T) {
 	}
 	if len(got) != 0 {
 		t.Errorf("replayed %d stale records, want 0", len(got))
+	}
+	if got := w2.AppendsSinceSnapshot(); got != 0 {
+		t.Errorf("appends since snapshot = %d, want 0", got)
+	}
+	// The next snapshot deletes the stale file.
+	appendN(t, w2, 1)
+	if err := w2.WriteSnapshot(6, nil, []byte("S6")); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := dirNames(t, dir), []string{logName(3), sealedName, snapName}; !reflect.DeepEqual(got, want) {
+		t.Errorf("directory after the next snapshot holds %v, want %v", got, want)
 	}
 }
 
@@ -202,19 +258,19 @@ func TestWALStats(t *testing.T) {
 	if got := w.Stats().Fsyncs; got < 4 {
 		t.Errorf("fsyncs after Sync = %d, want >= 4", got)
 	}
-	if err := w.WriteSnapshot(3, []byte("x")); err != nil {
+	if err := w.WriteSnapshot(3, nil, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	st = w.Stats()
-	if st.Snapshots != 1 || st.WALBytes != 0 {
+	if st.Snapshots != 1 || st.WALBytes != 0 || st.SnapshotBytes != 1 {
 		t.Errorf("post-snapshot stats = %+v", st)
 	}
 }
 
-// TestWALSnapshotDirSyncFailure injects a directory-sync failure into
-// WriteSnapshot: the snapshot must report the error and must NOT truncate
-// the log, because without a durable directory entry a crash could lose
-// the renamed snapshot and the truncated frames at once.
+// TestWALSnapshotDirSyncFailure injects a directory-sync failure into the
+// rotation that starts WriteSnapshot: the snapshot must report the error
+// and leave the log as it was, because without a durable name for the
+// new log file a crash could lose the frames appended to it.
 func TestWALSnapshotDirSyncFailure(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWAL(dir, WALOptions{})
@@ -228,29 +284,31 @@ func TestWALSnapshotDirSyncFailure(t *testing.T) {
 	syncDir = func(string) error { return fmt.Errorf("injected dir-sync failure") }
 	defer func() { syncDir = realSyncDir }()
 
-	if err := w.WriteSnapshot(8, []byte(`{"jobs":8}`)); err == nil {
+	if err := w.WriteSnapshot(8, entries("E"), []byte(`{"jobs":8}`)); err == nil {
 		t.Fatal("WriteSnapshot succeeded despite dir-sync failure")
 	}
-	if got := w.Stats().WALBytes; got == 0 {
-		t.Fatal("log bytes after failed snapshot = 0, want non-zero (log must not be truncated)")
+	if got, want := dirNames(t, dir), []string{logName(1), sealedName}; !reflect.DeepEqual(got, want) {
+		t.Errorf("directory after the failed snapshot holds %v, want %v", got, want)
 	}
 	if got := w.AppendsSinceSnapshot(); got != len(recs) {
 		t.Errorf("appends since snapshot = %d, want %d", got, len(recs))
 	}
 	// Every record must still replay from the intact log.
-	_, got := replayAll(t, w)
-	if len(got) != len(recs) {
-		t.Fatalf("replay after failed snapshot = %d records, want %d", len(got), len(recs))
+	if sealed, _, got := replaySealed(t, w); len(got) != len(recs) || len(sealed) != 0 {
+		t.Fatalf("replay after failed snapshot = %d records and %d sealed entries, want %d and 0", len(got), len(sealed), len(recs))
 	}
 
-	// With the failure cleared the same snapshot goes through and the log
-	// truncates as usual.
+	// With the failure cleared the same snapshot goes through and the
+	// absorbed log goes.
 	syncDir = realSyncDir
-	if err := w.WriteSnapshot(8, []byte(`{"jobs":8}`)); err != nil {
+	if err := w.WriteSnapshot(8, entries("E"), []byte(`{"jobs":8}`)); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.Stats().WALBytes; got != 0 {
 		t.Errorf("log bytes after successful snapshot = %d, want 0", got)
+	}
+	if sealed, _, _ := replaySealed(t, w); !reflect.DeepEqual(sealed, entries("E")) {
+		t.Errorf("sealed entries = %q, want [E]", sealed)
 	}
 }
 
@@ -273,8 +331,12 @@ func TestWALCloseReportsSyncFailure(t *testing.T) {
 	}
 }
 
-// TestWALDirHoldsLogAndSnapshot: the store's directory holds jobs.wal,
-// plus snapshot.bin once a snapshot is written, and nothing else.
+// TestWALDirHoldsLogAndSnapshot: a new store's directory holds
+// sealed.bin and the first numbered log, and a snapshot adds
+// snapshot.bin. Each snapshot adds the next log file and deletes
+// the ones it absorbs, so with appends going on between a snapshot's
+// capture and its write, two log files stay: the one rotated out, which
+// still holds later frames, and the one taking appends.
 func TestWALDirHoldsLogAndSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWAL(dir, WALOptions{SyncEveryAppend: true})
@@ -284,31 +346,31 @@ func TestWALDirHoldsLogAndSnapshot(t *testing.T) {
 	defer w.Close()
 	checkDir := func(names ...string) {
 		t.Helper()
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []string
-		for _, e := range entries {
-			got = append(got, e.Name())
-		}
-		if !reflect.DeepEqual(got, names) {
+		if got := dirNames(t, dir); !reflect.DeepEqual(got, names) {
 			t.Errorf("directory holds %v, want %v", got, names)
 		}
 	}
-	appendN(t, w, 4)
-	checkDir(walName)
-	if err := w.WriteSnapshot(4, []byte("S")); err != nil {
-		t.Fatal(err)
+	checkDir(logName(1), sealedName)
+	for n := uint64(1); n <= 4; n++ {
+		appendN(t, w, 4)
+		through := w.Stats().Appends
+		appendN(t, w, 2)
+		if err := w.WriteSnapshot(through, entries(fmt.Sprint(n)), []byte("S")); err != nil {
+			t.Fatal(err)
+		}
+		checkDir(logName(n), logName(n+1), sealedName, snapName)
 	}
-	appendN(t, w, 2)
-	checkDir(walName, snapName)
+	sealed, _, recs := replaySealed(t, w)
+	if !reflect.DeepEqual(sealed, entries("1", "2", "3", "4")) || len(recs) != 2 {
+		t.Errorf("replay = sealed %q and %d records, want [1 2 3 4] and 2", sealed, len(recs))
+	}
 }
 
 // TestWALReplayDetectsReplacedSnapshot: the WAL keeps only the snapshot's
-// sequence and size, so Replay reads snapshot.bin back from disk. When the
-// file went missing, turned corrupt or carries another sequence since
-// open, Replay must fail instead of returning an empty state, because the
+// sequence and sizes, so Replay reads snapshot.bin and the sealed entries
+// back from disk. When the snapshot went missing, turned corrupt or
+// carries another sequence since open, or a sealed entry no longer reads
+// back, Replay must fail instead of returning an empty state, because the
 // log frames the snapshot absorbed are already gone.
 func TestWALReplayDetectsReplacedSnapshot(t *testing.T) {
 	other := func(seq uint64) []byte {
@@ -321,6 +383,15 @@ func TestWALReplayDetectsReplacedSnapshot(t *testing.T) {
 		"deleted":   os.Remove,
 		"garbage":   func(p string) error { return os.WriteFile(p, []byte("garbage snapshot"), 0o644) },
 		"other seq": func(p string) error { return os.WriteFile(p, other(99), 0o644) },
+		"sealed entry corrupt": func(p string) error {
+			sealed := filepath.Join(filepath.Dir(p), sealedName)
+			raw, err := os.ReadFile(sealed)
+			if err != nil {
+				return err
+			}
+			raw[len(raw)-1] ^= 0xff
+			return os.WriteFile(sealed, raw, 0o644)
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -329,7 +400,7 @@ func TestWALReplayDetectsReplacedSnapshot(t *testing.T) {
 				t.Fatal(err)
 			}
 			appendN(t, w, 5)
-			if err := w.WriteSnapshot(5, []byte(`{"jobs":5}`)); err != nil {
+			if err := w.WriteSnapshot(5, entries("E1", "E2"), []byte(`{"jobs":5}`)); err != nil {
 				t.Fatal(err)
 			}
 			appendN(t, w, 2)
@@ -344,7 +415,7 @@ func TestWALReplayDetectsReplacedSnapshot(t *testing.T) {
 				t.Fatal(err)
 			}
 			delivered := 0
-			snap, err := w2.Replay(func(*Record) error { delivered++; return nil })
+			snap, err := w2.Replay(noSealed, func(*Record) error { delivered++; return nil })
 			if err == nil {
 				t.Fatalf("Replay over a replaced snapshot returned nil error (snapshot %q, %d records)", snap, delivered)
 			}

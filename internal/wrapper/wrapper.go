@@ -82,8 +82,8 @@ func (p *RowPattern) Validate() error {
 
 // CellMatch is the binding of one pattern cell in an instance: the item (or
 // normalized literal) the cell was bound to and the matching score. A
-// literal is a copy, so values outlive the document they came from without
-// keeping it alive.
+// literal is part of a copy of its table's texts, so values outlive the
+// document they came from without keeping it alive.
 type CellMatch struct {
 	Value string
 	Score float64
@@ -99,7 +99,8 @@ type Instance struct {
 	// Table and Row locate the source row within the document.
 	Table, Row int
 	// Raw holds the document's original cell texts the instance was
-	// matched from.
+	// matched from, copied out of the document with the rest of its
+	// table's texts.
 	Raw []string
 }
 
@@ -201,11 +202,12 @@ func (w *Wrapper) Extract(html string) ([]*Instance, []Skipped, error) {
 		if len(grid) == 0 {
 			return nil
 		}
-		// One array holds the present texts of every row of the table.
-		width := len(grid[0])
-		texts := make([]string, len(grid)*width)
-		for ri, row := range grid {
-			cells := presentTexts(texts[ri*width:ri*width:(ri+1)*width], row)
+		rows, nonEmpty, cellCount := tableTexts(grid)
+		// The table's instances and their cell matches come from one array
+		// each, sized for every row with cells.
+		insts := make([]Instance, 0, nonEmpty)
+		matches := make([]CellMatch, 0, cellCount)
+		for ri, cells := range rows {
 			if len(cells) == 0 {
 				continue
 			}
@@ -216,12 +218,16 @@ func (w *Wrapper) Extract(html string) ([]*Instance, []Skipped, error) {
 					sc = best.Score
 				}
 				// Join returns a single cell as is; the copy detaches it
-				// from the document.
+				// from the table's texts.
 				skipped = append(skipped, Skipped{Table: ti, Row: ri, BestScore: sc, Text: strings.Clone(strings.Join(cells, " | "))})
 				continue
 			}
-			best.Table, best.Row = ti, ri
-			instances = append(instances, best)
+			insts = append(insts, *best)
+			in := &insts[len(insts)-1]
+			in.Cells = append(matches[len(matches):len(matches):cap(matches)], best.Cells...)
+			matches = matches[:len(matches)+len(in.Cells)]
+			in.Table, in.Row = ti, ri
+			instances = append(instances, in)
 		}
 		return nil
 	})
@@ -231,14 +237,67 @@ func (w *Wrapper) Extract(html string) ([]*Instance, []Skipped, error) {
 	return instances, skipped, nil
 }
 
-// extraction is the state of one Extract call. It memoizes the domains
-// restricted by a specialization constraint: a document has few distinct
-// parent items, so each restriction is computed once per call rather than
-// once per row. The memo dies with the call, which keeps concurrent Extract
-// calls on one Wrapper independent.
+// tableTexts returns the texts of each row's present cells, without the
+// trailing empty ones, which are padding artifacts, not content, plus the
+// number of rows left with cells and of their cells. The texts are
+// substrings of one copy of all of them, so they do not keep the document
+// alive.
+func tableTexts(grid [][]htmlx.GridCell) (rows [][]string, nonEmpty, cells int) {
+	size, n := 0, 0
+	for _, row := range grid {
+		for _, c := range row {
+			if c.Present {
+				size += len(c.Text)
+				n++
+			}
+		}
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, row := range grid {
+		for _, c := range row {
+			if c.Present {
+				b.WriteString(c.Text)
+			}
+		}
+	}
+	all, pos := b.String(), 0
+	texts := make([]string, 0, n)
+	rows = make([][]string, len(grid))
+	for ri, row := range grid {
+		start := len(texts)
+		for _, c := range row {
+			if c.Present {
+				texts = append(texts, all[pos:pos+len(c.Text)])
+				pos += len(c.Text)
+			}
+		}
+		row := texts[start:len(texts):len(texts)]
+		for len(row) > 0 && row[len(row)-1] == "" {
+			row = row[:len(row)-1]
+		}
+		if len(row) > 0 {
+			nonEmpty++
+			cells += len(row)
+		}
+		rows[ri] = row
+	}
+	return rows, nonEmpty, cells
+}
+
+// extraction is the state of one Extract call. It memoizes domain
+// matches and the domains restricted by a specialization constraint: a
+// document repeats few distinct lexical texts and parent items, so each
+// match and each restriction is computed once per call rather than once
+// per row. The memos die with the call, which keeps concurrent Extract
+// calls on one Wrapper independent. Two scratch instances hold the
+// candidates of the row being matched.
 type extraction struct {
 	*Wrapper
 	restricted map[restriction]*lexicon.Domain
+	matched    map[domainQuery]CellMatch
+	scratch    [2]Instance
+	scores     []float64
 }
 
 // restriction identifies a restricted domain: the pattern cell whose domain
@@ -248,30 +307,27 @@ type restriction struct {
 	parent string
 }
 
-// presentTexts appends the texts of the row's present cells to out, which
-// has room for them.
-func presentTexts(out []string, row []htmlx.GridCell) []string {
-	for _, c := range row {
-		if c.Present {
-			out = append(out, c.Text)
-		}
-	}
-	// Trailing empty cells are padding artifacts, not content.
-	for len(out) > 0 && out[len(out)-1] == "" {
-		out = out[:len(out)-1]
-	}
-	return out
+// domainQuery identifies a domain match: the pattern cell, the parent
+// item its specialization constraint names ("" without one) and the text.
+type domainQuery struct {
+	cell         *PatternCell
+	parent, text string
 }
 
 // matchRow evaluates every pattern on the row's cell texts and returns the
-// best-scoring instance (nil when no pattern has the row's arity).
+// best-scoring instance (nil when no pattern has the row's arity). The
+// instance is scratch, valid until the next call.
 func (x *extraction) matchRow(cells []string) *Instance {
 	var best *Instance
 	for _, p := range x.Patterns {
 		if len(p.Cells) != len(cells) {
 			continue
 		}
-		in := x.matchPattern(p, cells)
+		in := &x.scratch[0]
+		if in == best {
+			in = &x.scratch[1]
+		}
+		x.matchPattern(in, p, cells)
 		if best == nil || in.Score > best.Score {
 			best = in
 		}
@@ -279,15 +335,14 @@ func (x *extraction) matchRow(cells []string) *Instance {
 	return best
 }
 
-// matchPattern binds each cell of the row to the pattern, producing the
-// instance with per-cell scores (Example 13's 90% score for "bgnning cesh"
-// against the Subsection domain arises here). Candidate instances of one
-// row share its cells slice as Raw; nothing writes to it. The cells come
-// from htmlx grids, whose texts are already collapsed (CollapseSpace).
-func (x *extraction) matchPattern(p *RowPattern, cells []string) *Instance {
-	in := &Instance{Pattern: p, Cells: make([]CellMatch, len(cells)), Raw: cells}
-	var buf [8]float64
-	scores := buf[:0]
+// matchPattern binds each cell of the row to the pattern, filling in with
+// the per-cell scores (Example 13's 90% score for "bgnning cesh" against
+// the Subsection domain arises here). Candidate instances of one row
+// share its cells slice as Raw; nothing writes to it. The cells come from
+// htmlx grids, whose texts are already collapsed (CollapseSpace).
+func (x *extraction) matchPattern(in *Instance, p *RowPattern, cells []string) {
+	*in = Instance{Pattern: p, Cells: in.Cells[:0], Raw: cells}
+	x.scores = x.scores[:0]
 	for i := range p.Cells {
 		pc := &p.Cells[i]
 		text := cells[i]
@@ -304,35 +359,42 @@ func (x *extraction) matchPattern(p *RowPattern, cells []string) *Instance {
 		case KindDomain:
 			cm = x.matchDomain(pc, in, text)
 		}
-		if pc.Kind != KindDomain {
-			cm.Value = strings.Clone(cm.Value)
-		}
-		in.Cells[i] = cm
-		scores = append(scores, cm.Score)
+		in.Cells = append(in.Cells, cm)
+		x.scores = append(x.scores, cm.Score)
 	}
-	in.Score = x.TNorm.Combine(scores)
-	return in
+	in.Score = x.TNorm.Combine(x.scores)
 }
 
 // matchDomain finds the most similar item of the cell's domain, restricted
 // to items satisfying the cell's hierarchical relationship when one is
 // specified (footnote 4 of the paper); when no item satisfies it, the full
-// domain is used with a score penalty.
+// domain is used with a score penalty. Each distinct query is answered
+// once per call.
 func (x *extraction) matchDomain(pc *PatternCell, in *Instance, text string) CellMatch {
-	if pc.SpecializationOf >= 0 && x.Hierarchy != nil {
-		if m, ok := x.restrict(pc, in.Cells[pc.SpecializationOf].Value).BestMatch(text); ok {
-			return CellMatch{Value: m.Item, Score: m.Score}
-		}
-		// No item specializes the parent: fall back, penalized.
-		if m, ok := pc.Domain.BestMatch(text); ok {
-			return CellMatch{Value: m.Item, Score: m.Score * 0.5}
-		}
-		return CellMatch{}
+	q := domainQuery{cell: pc, text: text}
+	restricted := pc.SpecializationOf >= 0 && x.Hierarchy != nil
+	if restricted {
+		q.parent = in.Cells[pc.SpecializationOf].Value
 	}
-	if m, ok := pc.Domain.BestMatch(text); ok {
-		return CellMatch{Value: m.Item, Score: m.Score}
+	if cm, ok := x.matched[q]; ok {
+		return cm
 	}
-	return CellMatch{}
+	var cm CellMatch
+	if restricted {
+		if m, ok := x.restrict(pc, q.parent).BestMatch(text); ok {
+			cm = CellMatch{Value: m.Item, Score: m.Score}
+		} else if m, ok := pc.Domain.BestMatch(text); ok {
+			// No item specializes the parent: fall back, penalized.
+			cm = CellMatch{Value: m.Item, Score: m.Score * 0.5}
+		}
+	} else if m, ok := pc.Domain.BestMatch(text); ok {
+		cm = CellMatch{Value: m.Item, Score: m.Score}
+	}
+	if x.matched == nil {
+		x.matched = map[domainQuery]CellMatch{}
+	}
+	x.matched[q] = cm
+	return cm
 }
 
 // restrict returns the items of the cell's domain that specialize parent,
