@@ -150,12 +150,20 @@ func enumerateComponent(db *relational.Database, sub *System, opts EnumerateOpti
 				return nil, err
 			}
 		}
-		sol, err := milp.Solve(comp.Model, milp.MILPOptions{})
+		// Only supports of the first solve's cardinality are kept, so every
+		// later solve takes it as a cutoff: subtrees that can only hold
+		// larger supports are pruned, and none that can hold one is.
+		var opt milp.MILPOptions
+		if optimum >= 0 {
+			cutoff := float64(optimum)
+			opt.CutoffObjective = &cutoff
+		}
+		sol, err := milp.Solve(comp.Model, opt)
 		if err != nil {
 			return nil, err
 		}
 		if sol.Status != milp.StatusOptimal {
-			break // no further support
+			break // no further support of the optimal cardinality
 		}
 		card := int(math.Round(sol.Objective))
 		if optimum < 0 {

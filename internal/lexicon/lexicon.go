@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"unicode/utf8"
 )
 
@@ -257,6 +258,14 @@ func (d *Domain) BestMatch(s string) (Match, bool) {
 // domain is a specialization of item b of another. Keys are normalized.
 type Hierarchy struct {
 	parents map[string]map[string]bool
+	// restricted holds Restrict's answers: restriction -> *Domain.
+	restricted sync.Map
+}
+
+// restriction identifies one answer of Restrict.
+type restriction struct {
+	domain *Domain
+	parent string
 }
 
 // NewHierarchy creates an empty hierarchy.
@@ -271,6 +280,32 @@ func (h *Hierarchy) AddSpecialization(child, parent string) {
 		h.parents[c] = map[string]bool{}
 	}
 	h.parents[c][Normalize(parent)] = true
+	h.restricted.Range(func(key, _ any) bool {
+		h.restricted.Delete(key)
+		return true
+	})
+}
+
+// Restrict returns the items of d that are specializations of parent, in
+// d's order: the domain a wrapper cell matches against when the cell must
+// specialize the item of an earlier one. The answer depends only on the
+// hierarchy and the domain, so it is built once per (domain, parent) and
+// shared by every caller, across goroutines. AddSpecialization drops the
+// answers built so far; d must not change once restricted.
+func (h *Hierarchy) Restrict(d *Domain, parent string) *Domain {
+	key := restriction{domain: d, parent: parent}
+	if r, ok := h.restricted.Load(key); ok {
+		return r.(*Domain)
+	}
+	r := NewDomain(d.Name)
+	for _, item := range d.items {
+		if h.IsSpecializationOf(item, parent) {
+			r.Add(item)
+		}
+	}
+	// A concurrent caller may have built the same answer: keep one.
+	got, _ := h.restricted.LoadOrStore(key, r)
+	return got.(*Domain)
 }
 
 // IsSpecializationOf reports whether child is a (direct or transitive)

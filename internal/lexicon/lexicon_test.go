@@ -148,6 +148,44 @@ func TestHierarchy(t *testing.T) {
 	}
 }
 
+// TestRestrict: a restricted domain holds the items that specialize the
+// parent, in domain order; it is built once and shared, also by
+// concurrent callers (run under -race), and AddSpecialization drops it.
+func TestRestrict(t *testing.T) {
+	h := NewHierarchy()
+	h.AddSpecialization("beginning cash", "Receipts")
+	h.AddSpecialization("cash sales", "Receipts")
+	h.AddSpecialization("payment of accounts", "Disbursements")
+	d := NewDomain("Subsection", "cash sales", "payment of accounts", "beginning cash")
+	const goroutines = 4
+	got := make([]*Domain, goroutines)
+	done := make(chan int)
+	for g := 0; g < goroutines; g++ {
+		go func() {
+			got[g] = h.Restrict(d, "Receipts")
+			done <- g
+		}()
+	}
+	for g := 0; g < goroutines; g++ {
+		<-done
+	}
+	for _, r := range got {
+		if r != got[0] {
+			t.Fatal("concurrent callers got different restricted domains")
+		}
+	}
+	if items := got[0].Items(); len(items) != 2 || items[0] != "cash sales" || items[1] != "beginning cash" {
+		t.Errorf("Restrict(Receipts) = %v", items)
+	}
+	if h.Restrict(d, "Receipts") != got[0] {
+		t.Error("a repeated restriction was built again")
+	}
+	h.AddSpecialization("payment of accounts", "Receipts")
+	if items := h.Restrict(d, "Receipts").Items(); len(items) != 3 {
+		t.Errorf("after AddSpecialization, Restrict(Receipts) = %v", items)
+	}
+}
+
 func TestTNorms(t *testing.T) {
 	scores := []float64{0.9, 1.0, 0.8}
 	tests := []struct {

@@ -29,8 +29,10 @@ type MILPOptions struct {
 	// solve). Branch and bound then prunes every subtree whose LP bound
 	// proves it can only hold strictly worse solutions. The cutoff is
 	// exactness-preserving: subtrees that could contain a solution of value
-	// <= CutoffObjective are never pruned by it, so the search returns the
-	// same incumbent a cold solve finds, just with less work. It is applied
+	// <= CutoffObjective are never pruned by it. Best-first order never
+	// expands such a subtree before the optimum is found anyway, so the
+	// search expands the same nodes in the same order and returns the same
+	// incumbent as without the cutoff, just with less work. It is applied
 	// only to models with a provably integral objective (all nonzero
 	// objective coefficients integral on integer variables) — the
 	// card-minimal repair objective is one — and ignored otherwise.
@@ -71,12 +73,13 @@ type MILPResult struct {
 // bbNode is one branch-and-bound subproblem. Instead of cloning full bound
 // vectors, a node records the single bound its branch tightened; effective
 // bounds are materialized by walking the parent chain root-to-leaf into
-// the search's scratch arrays (deeper deltas override shallower ones).
+// the search's scratch arrays (deeper deltas override shallower ones), or,
+// on a dive, applied to its parent's bounds still in those arrays.
 //
-// seq is the node's position in the branch tree, independent of exploration
-// order: "" for the root, parent.seq+"0" for the down child, parent.seq+"1"
-// for the up child. Lexicographic order on seq breaks incumbent ties (see
-// search.go), which defines the answer among tied optima.
+// seq is the node's path from the root: "" for the root, parent.seq+"0"
+// for the down child, parent.seq+"1" for the up child. Lexicographic order
+// on seq breaks incumbent ties (see search.go), which picks the answer
+// among tied optima.
 type bbNode struct {
 	parent    *bbNode
 	branchVar int
@@ -152,7 +155,7 @@ func Solve(m *Model, opt MILPOptions) (*MILPResult, error) {
 			Nodes: 1, Iterations: lp.Iterations,
 		}, nil
 	}
-	return branchAndBound(m, opt)
+	return branchAndBound(m, opt, false)
 }
 
 // objIsIntegral reports whether every feasible integral assignment yields an
@@ -172,8 +175,10 @@ func objIsIntegral(m *Model) bool {
 }
 
 // branchAndBound tightens the root bounds, arms the warm-start cutoff and
-// live telemetry, and runs the best-first search (search.go).
-func branchAndBound(m *Model, opt MILPOptions) (*MILPResult, error) {
+// live telemetry, and runs the best-first search (search.go). cold solves
+// every node from scratch instead of diving warm; only tests set it, to
+// check dives against cold node solves.
+func branchAndBound(m *Model, opt MILPOptions, cold bool) (*MILPResult, error) {
 	nv := m.NumVars()
 
 	rootLB := make([]float64, nv)
@@ -215,6 +220,7 @@ func branchAndBound(m *Model, opt MILPOptions) (*MILPResult, error) {
 		ub:       make([]float64, nv),
 		x:        make([]float64, nv),
 		cand:     make([]float64, nv),
+		cold:     cold,
 	}
 	defer releaseSimplex(b.s)
 	if opt.Trace.IsLive() {
@@ -288,7 +294,7 @@ func roundIntegers(m *Model, x []float64, tol float64) []float64 {
 // roundingHeuristic fixes every integer variable to the rounding of its LP
 // value (clamped into the node bounds) and re-solves the continuous
 // remainder, producing an early incumbent when the fixing stays feasible.
-func roundingHeuristic(m *Model, opt MILPOptions, x []float64, lb, ub []float64) (float64, []float64, bool) {
+func roundingHeuristic(m *Model, cs *csrMatrix, opt MILPOptions, x []float64, lb, ub []float64) (float64, []float64, bool) {
 	hlb := make([]float64, len(lb))
 	hub := make([]float64, len(ub))
 	copy(hlb, lb)
@@ -308,7 +314,7 @@ func roundingHeuristic(m *Model, opt MILPOptions, x []float64, lb, ub []float64)
 		v = math.Min(v, hub[j])
 		hlb[j], hub[j] = v, v
 	}
-	lp, err := solveLPWithBounds(m, opt.Simplex, hlb, hub)
+	lp, err := solveLPWithBounds(m, cs, opt.Simplex, hlb, hub)
 	if err != nil || lp.Status != StatusOptimal {
 		return 0, nil, false
 	}

@@ -326,7 +326,7 @@ func bruteForceMixed(t *testing.T, m *Model) float64 {
 	var rec func(k int)
 	rec = func(k int) {
 		if k == len(intVars) {
-			lp, err := solveLPWithBounds(m, SimplexOptions{}, lb, ub)
+			lp, err := solveLPWithBounds(m, buildCSR(m), SimplexOptions{}, lb, ub)
 			if err != nil {
 				t.Fatal(err)
 			}

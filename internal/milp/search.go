@@ -3,7 +3,10 @@
 // The search pops the frontier node with the smallest LP bound (ties:
 // deeper first, then smaller seq), solves its LP relaxation on one reusable
 // simplex state, and then commits an integral candidate, branches on the
-// most fractional integer variable, or drops the node.
+// most fractional integer variable, or drops the node. A child popped
+// right after its parent — a dive, the common case, since the down child
+// ties its sibling and pops first — re-optimizes the parent's optimal
+// tableau with a dual simplex instead of solving from the slack basis.
 //
 // Several optima can tie on the objective — card-minimal repairs often do.
 // Which one the search returns is defined by a total order on candidates:
@@ -15,19 +18,18 @@
 //     the incumbent; a TIED node is pruned only against an accepted
 //     incumbent with smaller seq, never against a heuristic one.
 //
-// seq is a node's position in the branch tree, and the tree is a function
-// of the model and options alone (each node's LP relaxation and branching
-// variable depend only on its bounds). Let W be the accepted candidate with
-// the minimum (objective, seq) over the whole tree. No ancestor a of W is
-// ever pruned: a's strengthened bound is at most W's objective (its subtree
-// contains W, and with an integral objective the strengthening stays below
-// the attainable optimum), so a could only be tie-pruned by an accepted
-// incumbent with seq smaller than a.seq <= W.seq — but then that
-// incumbent, not W, would be the minimum. Hence a completed search returns
-// W: W is the answer's definition, whatever order the frontier visits
-// nodes in, and the repaired documents' digests pin that choice. Searches
-// cut short by MaxNodes or an LP iteration limit report StatusIterLimit
-// with the best candidate found so far.
+// seq is a node's position in the branch tree. The tree is not a function
+// of the model alone: an LP relaxation can have several optimal vertices,
+// and a dive and a cold solve of the same node can reach different ones,
+// which then branch on different variables. The visit order is fixed,
+// though — one sequential loop over a frontier with a total order — so the
+// tree, and with it the answer, X, the node count and the iteration count,
+// is a deterministic function of the model and the options, and the order
+// above picks the answer among the candidates the tree holds. A different
+// visit order could return a different tied optimum; the repaired
+// documents' digests pin this one. Searches cut short by MaxNodes or an LP
+// iteration limit report StatusIterLimit with the best candidate found so
+// far.
 package milp
 
 import (
@@ -66,6 +68,13 @@ type bbSearch struct {
 	x     []float64 // LP solution of the current node
 	cand  []float64 // rounded-candidate scratch
 	chain []*bbNode // parent-chain scratch for materialize
+
+	// warm is the node whose LP optimum s holds, or nil. A child of it
+	// re-optimizes that tableau instead of solving cold. It is forgotten
+	// when the node goes back to the pool, which may hand it out again.
+	warm *bbNode
+	// cold solves every node from scratch; tests compare it with dives.
+	cold bool
 
 	frontier  nodeQueue
 	inc       bbIncumbent
@@ -118,6 +127,9 @@ func (b *bbSearch) run() (*MILPResult, error) {
 		}
 		if !kept {
 			// No frontier node holds node as its parent: recycle it.
+			if b.warm == node {
+				b.warm = nil
+			}
 			releaseNode(node)
 		}
 		if improved {
@@ -155,14 +167,47 @@ func (b *bbSearch) materialize(node *bbNode) {
 	}
 }
 
+// solve leaves node's LP relaxation solved in b.s and its bounds in b.lb
+// and b.ub. A child of the node whose optimum b.s holds (a dive: the down
+// child pops right after its parent) re-optimizes that tableau with the
+// one bound its branch changed; every other node, and a dive the warm
+// start declines, is solved cold from the slack basis.
+func (b *bbSearch) solve(node *bbNode) (Status, error) {
+	warm := node.parent != nil && node.parent == b.warm && !b.cold
+	b.warm = nil
+	if warm {
+		// b.lb and b.ub still hold the parent's bounds.
+		j := node.branchVar
+		if node.branchUB {
+			b.ub[j] = node.branchVal
+		} else {
+			b.lb[j] = node.branchVal
+		}
+		st, ok, err := b.s.resolve(j, b.lb[j], b.ub[j])
+		b.iters += b.s.iters
+		if ok || err != nil {
+			if st == StatusOptimal {
+				b.warm = node
+			}
+			return st, err
+		}
+	} else {
+		b.materialize(node)
+	}
+	b.s.reset(b.m, b.cs, b.opt.Simplex, b.lb, b.ub)
+	st, err := b.s.run()
+	b.iters += b.s.iters
+	if err == nil && st == StatusOptimal {
+		b.warm = node
+	}
+	return st, err
+}
+
 // expand solves node's LP relaxation, offers any candidate it yields to
 // the incumbent, and returns the children to branch into (nil = none) and
 // whether the incumbent changed. An unbounded root sets b.unbounded.
 func (b *bbSearch) expand(node *bbNode) (down, up *bbNode, improved bool, err error) {
-	b.materialize(node)
-	b.s.reset(b.m, b.cs, b.opt.Simplex, b.lb, b.ub)
-	st, err := b.s.run()
-	b.iters += b.s.iters
+	st, err := b.solve(node)
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -213,7 +258,7 @@ func (b *bbSearch) expand(node *bbNode) (down, up *bbNode, improved bool, err er
 
 	// The rounding heuristic seeds an early incumbent at the root.
 	if node.depth == 0 && !b.opt.DisableRounding {
-		if hobj, hx, ok := roundingHeuristic(b.m, b.opt, b.x, b.lb, b.ub); ok {
+		if hobj, hx, ok := roundingHeuristic(b.m, b.cs, b.opt, b.x, b.lb, b.ub); ok {
 			hobj = candidateObjective(b.m, hx, hobj, b.integral)
 			if b.better(hobj, false, node.seq) {
 				b.inc = bbIncumbent{ok: true, accepted: false, obj: hobj, seq: node.seq, x: hx}

@@ -637,6 +637,108 @@ func (s *simplex) run() (Status, error) {
 	return s.phase2()
 }
 
+// resolve re-optimizes the optimal state after column j's bounds change to
+// [lb, ub], as branch and bound does for a child of the node just solved:
+// the branch tightened one bound of a basic variable, so the basis stays
+// dual feasible, a dual simplex restores primal feasibility, and phase 2
+// confirms optimality. ok is false when the warm start does not apply — j
+// is nonbasic, its value already fits the new bounds, or the dual simplex
+// exhausts its budget — and the caller must solve cold (reset and run);
+// the state is then unspecified. Like run, resolve allocates nothing.
+func (s *simplex) resolve(j int, lb, ub float64) (st Status, ok bool, err error) {
+	s.iters, s.degen, s.bland = 0, 0, false
+	if s.stat[j] != csBasic {
+		return 0, false, nil
+	}
+	s.lb[j], s.ub[j] = lb, ub
+	if x := s.xB[s.inRow[j]]; x >= lb-s.opt.FeasTol && x <= ub+s.opt.FeasTol {
+		// Nothing for the dual simplex to repair: a cold solve decides
+		// whether the node really moves, so a branch can never repeat.
+		return 0, false, nil
+	}
+	feasible, ok := s.dual()
+	if !ok {
+		return 0, false, nil
+	}
+	if !feasible {
+		return StatusInfeasible, true, nil
+	}
+	st, err = s.phase2()
+	return st, true, err
+}
+
+// dual runs a bounded-variable dual simplex from a dual feasible basis
+// (reduced costs s.d of the right sign on every nonbasic column) until
+// every basic variable lies within its bounds. Each iteration takes the
+// basic variable with the largest bound violation out of the basis at the
+// bound it violates and brings in the column that keeps the basis dual
+// feasible: the smallest ratio |d_j|/|alpha_j| among the nonbasic columns
+// that can move the leaving variable toward its bound. feasible is false
+// when a violated row has no such column, which proves the LP infeasible;
+// ok is false when the iteration budget runs out.
+func (s *simplex) dual() (feasible, ok bool) {
+	tol, ptol := s.opt.FeasTol, s.opt.PivotTol
+	limit := min(2*(s.m+s.n)+50, s.opt.MaxIters)
+	//dartvet:allow ctxloop -- bounded by the iteration budget checked each pass; milp.Solve polls Cancel between LP solves
+	for {
+		row, viol, need := -1, tol, 0.0 // need: +1 to rise to lb, -1 to fall to ub
+		for i := 0; i < s.m; i++ {
+			k := s.basis[i]
+			//dartvet:allow floatcmp -- viol is seeded with the feasibility tolerance
+			if v := s.lb[k] - s.xB[i]; v > viol {
+				row, viol, need = i, v, 1
+				//dartvet:allow floatcmp -- viol is seeded with the feasibility tolerance
+			} else if v := s.xB[i] - s.ub[k]; v > viol {
+				row, viol, need = i, v, -1
+			}
+		}
+		if row < 0 {
+			return true, true
+		}
+		if s.iters >= limit {
+			return false, false
+		}
+		trow := s.tab[row]
+		enter, dir, best, bestAlpha := -1, 0.0, math.Inf(1), 0.0
+		for j := 0; j < s.n; j++ {
+			alpha := trow[j]
+			if (alpha > -ptol && alpha < ptol) || s.stat[j] == csBasic {
+				continue
+			}
+			// Moving x_j in direction move changes the leaving variable at
+			// rate -alpha*move, which must have the sign of need.
+			move := need
+			if alpha > 0 {
+				move = -need
+			}
+			switch s.stat[j] {
+			case csAtLower:
+				if move < 0 || s.ub[j]-s.lb[j] <= 0 {
+					continue // cannot decrease, or fixed
+				}
+			case csAtUpper:
+				if move > 0 || s.ub[j]-s.lb[j] <= 0 {
+					continue
+				}
+			}
+			a := math.Abs(alpha)
+			ratio := math.Abs(s.d[j]) / a
+			// Smallest ratio; among (near-)ties the larger pivot magnitude,
+			// then the lowest column, for stability and a fixed choice.
+			const tieTol = 1e-10
+			//dartvet:allow floatcmp -- pivot magnitude breaks ties the tieTol test already fuzzed
+			if ratio < best-tieTol || (ratio <= best+tieTol && a > bestAlpha) {
+				enter, dir, best, bestAlpha = j, move, ratio, a
+			}
+		}
+		if enter < 0 {
+			return false, true
+		}
+		s.iters++
+		s.step(enter, dir, ratioResult{t: viol / bestAlpha, row: row, hitLower: need > 0}, true)
+	}
+}
+
 // solveLP runs both phases and packages the result.
 func (s *simplex) solveLP() (*LPResult, error) {
 	st, err := s.run()
@@ -664,11 +766,12 @@ func SolveLP(m *Model, opt SimplexOptions) (*LPResult, error) {
 }
 
 // solveLPWithBounds solves the relaxation with per-variable bound overrides
-// (used by the branch-and-bound rounding heuristic and one-shot callers; the
-// node loop keeps a worker-local state and calls reset/run directly).
-func solveLPWithBounds(m *Model, opt SimplexOptions, lb, ub []float64) (*LPResult, error) {
+// on a pooled state, reading the rows from cs (the caller's CSR form of m).
+// The branch-and-bound rounding heuristic uses it; node solves run on the
+// search's own state.
+func solveLPWithBounds(m *Model, cs *csrMatrix, opt SimplexOptions, lb, ub []float64) (*LPResult, error) {
 	s := acquireSimplex()
 	defer releaseSimplex(s)
-	s.reset(m, buildCSR(m), opt, lb, ub)
+	s.reset(m, cs, opt, lb, ub)
 	return s.solveLP()
 }

@@ -327,6 +327,39 @@ func TestNodeSolveAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, solveOnce); allocs > 0 {
 		t.Errorf("steady-state node solve allocates %.1f objects/op, want 0", allocs)
 	}
+
+	// A dive: the down child of a branch on a fractional basic variable
+	// re-optimizes its parent's tableau in place. The root optimum of this
+	// model has one.
+	m = randomIntegerModel(2028)
+	cs = buildCSR(m)
+	x = make([]float64, m.NumVars())
+	solveOnce()
+	branch := -1
+	for j := 0; j < m.NumVars(); j++ {
+		if s.stat[j] == csBasic && math.Abs(x[j]-math.Round(x[j])) > 1e-6 {
+			branch = j
+			break
+		}
+	}
+	if branch < 0 {
+		t.Fatal("root optimum has no fractional basic variable to branch on")
+	}
+	down := math.Floor(x[branch])
+	diveOnce := func() {
+		solveOnce()
+		st, ok, err := s.resolve(branch, s.lb[branch], down)
+		if err != nil || !ok {
+			t.Fatalf("warm re-solve declined: ok %v, err %v", ok, err)
+		}
+		if st == StatusOptimal {
+			s.fillSolution(x)
+		}
+	}
+	diveOnce()
+	if allocs := testing.AllocsPerRun(200, diveOnce); allocs > 0 {
+		t.Errorf("warm child re-solve allocates %.1f objects/op, want 0", allocs)
+	}
 }
 
 // BenchmarkNodeSolve measures a steady-state node relaxation on the

@@ -125,15 +125,21 @@ func TestExtractGolden(t *testing.T) {
 }
 
 // TestConcurrentExtract runs one shared cash-budget wrapper from eight
-// goroutines at once; every goroutine must see exactly the sequential
-// output. Run under -race it also checks that Extract keeps no mutable
-// state on the Wrapper or its metadata.
+// goroutines at once; every goroutine must see exactly the output of a
+// sequential wrapper over its own parse of the metadata. The shared
+// wrapper's hierarchy has restricted no domain yet, so the goroutines
+// build its restrictions concurrently. Run under -race it also checks that
+// Extract keeps no other mutable state on the Wrapper or its metadata.
 func TestConcurrentExtract(t *testing.T) {
-	md, err := scenario.CashBudget()
-	if err != nil {
-		t.Fatal(err)
+	var wrappers [2]*wrapper.Wrapper
+	for i := range wrappers {
+		md, err := metadata.Parse(scenario.CashBudgetSource())
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrappers[i] = md.NewWrapper()
 	}
-	w := md.NewWrapper()
+	ref, w := wrappers[0], wrappers[1]
 	rng := rand.New(rand.NewSource(19))
 	var docs []string
 	for d := 0; d < 6; d++ {
@@ -141,7 +147,7 @@ func TestConcurrentExtract(t *testing.T) {
 			ocr.Options{NumericErrors: 1, StringRate: 0.4}, rng)
 		docs = append(docs, noisy.HTML())
 	}
-	digest := func() (string, error) {
+	digest := func(w *wrapper.Wrapper) (string, error) {
 		h := sha256.New()
 		for _, doc := range docs {
 			instances, skipped, err := w.Extract(doc)
@@ -152,7 +158,7 @@ func TestConcurrentExtract(t *testing.T) {
 		}
 		return hex.EncodeToString(h.Sum(nil)), nil
 	}
-	want, err := digest()
+	want, err := digest(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +167,7 @@ func TestConcurrentExtract(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := digest()
+			got, err := digest(w)
 			if err != nil {
 				t.Error(err)
 				return

@@ -286,25 +286,17 @@ func tableTexts(grid [][]htmlx.GridCell) (rows [][]string, nonEmpty, cells int) 
 }
 
 // extraction is the state of one Extract call. It memoizes domain
-// matches and the domains restricted by a specialization constraint: a
-// document repeats few distinct lexical texts and parent items, so each
-// match and each restriction is computed once per call rather than once
-// per row. The memos die with the call, which keeps concurrent Extract
-// calls on one Wrapper independent. Two scratch instances hold the
-// candidates of the row being matched.
+// matches: a document repeats few distinct lexical texts and parent items,
+// so each match is computed once per call rather than once per row. The
+// memo dies with the call, which keeps concurrent Extract calls on one
+// Wrapper independent; restricted domains are built once by the hierarchy
+// (lexicon.Hierarchy.Restrict). Two scratch instances hold the candidates
+// of the row being matched.
 type extraction struct {
 	*Wrapper
-	restricted map[restriction]*lexicon.Domain
-	matched    map[domainQuery]CellMatch
-	scratch    [2]Instance
-	scores     []float64
-}
-
-// restriction identifies a restricted domain: the pattern cell whose domain
-// is restricted and the parent item its items must specialize.
-type restriction struct {
-	cell   *PatternCell
-	parent string
+	matched map[domainQuery]CellMatch
+	scratch [2]Instance
+	scores  []float64
 }
 
 // domainQuery identifies a domain match: the pattern cell, the parent
@@ -381,7 +373,7 @@ func (x *extraction) matchDomain(pc *PatternCell, in *Instance, text string) Cel
 	}
 	var cm CellMatch
 	if restricted {
-		if m, ok := x.restrict(pc, q.parent).BestMatch(text); ok {
+		if m, ok := x.Hierarchy.Restrict(pc.Domain, q.parent).BestMatch(text); ok {
 			cm = CellMatch{Value: m.Item, Score: m.Score}
 		} else if m, ok := pc.Domain.BestMatch(text); ok {
 			// No item specializes the parent: fall back, penalized.
@@ -395,26 +387,6 @@ func (x *extraction) matchDomain(pc *PatternCell, in *Instance, text string) Cel
 	}
 	x.matched[q] = cm
 	return cm
-}
-
-// restrict returns the items of the cell's domain that specialize parent,
-// in domain order, computing them on first use within the call.
-func (x *extraction) restrict(pc *PatternCell, parent string) *lexicon.Domain {
-	key := restriction{cell: pc, parent: parent}
-	if d, ok := x.restricted[key]; ok {
-		return d
-	}
-	d := lexicon.NewDomain(pc.Domain.Name)
-	for _, item := range pc.Domain.Items() {
-		if x.Hierarchy.IsSpecializationOf(item, parent) {
-			d.Add(item)
-		}
-	}
-	if x.restricted == nil {
-		x.restricted = map[restriction]*lexicon.Domain{}
-	}
-	x.restricted[key] = d
-	return d
 }
 
 // matchInteger scores integer literals: exact integers score 1; text whose
